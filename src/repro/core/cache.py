@@ -109,6 +109,12 @@ class PathCache:
             if found is not None:
                 self._store[key] = found
         if found is None:
+            n = self.topology.n_switches
+            if not (0 <= source < n and 0 <= destination < n):
+                raise ConfigurationError(
+                    f"switch pair ({source}, {destination}) is out of range "
+                    f"for a topology with {n} switches"
+                )
             self.misses += 1
             reg = metrics._active
             if reg is not None:

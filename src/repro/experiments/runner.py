@@ -22,13 +22,10 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
-from repro.obs import flowstats as obs_flowstats
-from repro.obs import linkstate as obs_linkstate
 from repro.obs import log as obs_log
 from repro.obs import metrics
 from repro.obs import monitor as obs_monitor
-from repro.obs import timeseries as obs_timeseries
-from repro.obs import trace as obs_trace
+from repro.obs import recorder
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.experiments.base import ExperimentResult
 from repro.experiments.ext_failures import run as run_ext_failures
@@ -165,17 +162,9 @@ def main(argv=None) -> int:
         const="default",
         default=None,
         metavar="DIR",
-        help="persist path tables; with no DIR, uses the default store "
-        "(REPRO_PATH_STORE or ~/.cache/repro/path-tables)",
-    )
-    parser.add_argument(
-        "--store-format",
-        choices=("arena", "json"),
-        default="arena",
-        help="on-disk path-table format for --path-store: 'arena' is the "
-        "flat CSR .npz loaded via mmap (migrates legacy json stores in "
-        "place); 'json' keeps the legacy gzip-JSON PathStore (default: "
-        "arena)",
+        help="persist path tables as memory-mapped CSR arenas (legacy "
+        "gzip-JSON stores migrate in place); with no DIR, uses the default "
+        "store (REPRO_PATH_STORE or ~/.cache/repro/path-tables)",
     )
     parser.add_argument(
         "--pairs-on-demand",
@@ -323,13 +312,12 @@ def main(argv=None) -> int:
 
     store = None
     if args.path_store is not None:
-        from repro.core.store import ArenaStore, PathStore
+        from repro.core.store import ArenaStore
 
-        store_cls = ArenaStore if args.store_format == "arena" else PathStore
         store = (
-            store_cls.default()
+            ArenaStore.default()
             if args.path_store == "default"
-            else store_cls(args.path_store)
+            else ArenaStore(args.path_store)
         )
 
     names = list(EXPERIMENTS) if "all" in args.experiment else args.experiment
@@ -338,17 +326,9 @@ def main(argv=None) -> int:
     try:
         for name in names:
             if telemetry_dir is not None:
-                # A fresh registry (and recorder) per experiment keeps each
-                # manifest's snapshot scoped to its own run.
-                metrics.enable()
-                if args.trace_sample is not None:
-                    obs_trace.enable(sample=args.trace_sample)
-                if args.timeseries_window is not None:
-                    obs_timeseries.enable(window=args.timeseries_window)
-                if args.linkstate is not None:
-                    obs_linkstate.enable(window=args.linkstate)
-                if args.flowstats:
-                    obs_flowstats.enable()
+                # Fresh recorders per experiment keep each manifest's
+                # snapshot scoped to its own run.
+                recorder.enable_all(_recorder_configs(args))
                 obs_log.open_jsonl(
                     telemetry_dir / f"{name}-{args.scale}.events.jsonl"
                 )
@@ -392,35 +372,77 @@ def main(argv=None) -> int:
             if telemetry_dir is not None:
                 _emit_telemetry(name, args, wall, telemetry_dir, profiler)
     finally:
-        metrics.disable()
-        obs_trace.disable()
-        obs_timeseries.disable()
-        obs_linkstate.disable()
-        obs_flowstats.disable()
+        recorder.disable_all()
         obs_monitor.disable()
         obs_log.close_jsonl()
     return 0
 
 
+def _recorder_configs(args) -> Dict[str, dict]:
+    """The recorders a telemetry run enables, as a ``{name: config}`` map."""
+    cfgs: Dict[str, dict] = {"metrics": {}}
+    if args.trace_sample is not None:
+        cfgs["trace"] = {"sample": args.trace_sample}
+    if args.timeseries_window is not None:
+        cfgs["timeseries"] = {"window": args.timeseries_window}
+    if args.linkstate is not None:
+        cfgs["linkstate"] = {"window": args.linkstate}
+    if args.flowstats:
+        cfgs["flowstats"] = {}
+    return cfgs
+
+
+#: Per artifact recorder, the snapshot count that must be non-zero for
+#: its ``.npz`` to be written.
+_ARTIFACTS = {
+    "trace": "n_packets",
+    "timeseries": "n_windows",
+    "linkstate": "n_windows",
+    "flowstats": "n_runs",
+}
+
+
+def _save_artifact(kind: str, name: str, args, telemetry_dir: Path):
+    """Save one recorder's snapshot next to the manifest, then disable it.
+
+    Returns ``(snapshot, path)``, or ``None`` when the recorder is off or
+    recorded nothing.
+    """
+    slot = recorder.slot(kind)
+    snap = slot.snapshot()
+    slot.disable()
+    count = _ARTIFACTS[kind]
+    if snap is None or not snap[count]:
+        return None
+    path = slot.save(telemetry_dir / f"{name}-{args.scale}.{kind}.npz", snap)
+    obs_log.info(
+        f"{kind}_written",
+        experiment=name,
+        path=str(path),
+        runs=int(snap["n_runs"]),
+        **{count: int(snap[count])},
+    )
+    return snap, path
+
+
 def _emit_telemetry(
     name: str, args, wall: float, telemetry_dir: Path, profiler=None
 ) -> None:
-    """Write the run manifest (and trace/time series), print the summary."""
+    """Write the run manifest and recorder artifacts, print the summary."""
+    from repro.obs.timeseries import steady_state_report
     from repro.report import link_load_report, stage_timing_table
 
+    # Every artifact is saved before the metrics snapshot, so the flow
+    # SLO gauges land in the still-active registry and reach the manifest.
+    saved = {
+        kind: _save_artifact(kind, name, args, telemetry_dir)
+        for kind in _ARTIFACTS
+    }
     steady_report = None
-    ts_path = None
-    if args.timeseries_window is not None:
-        steady_report, ts_path = _emit_timeseries(name, args, telemetry_dir)
-    ls_path = None
-    if args.linkstate is not None:
-        ls_path = _emit_linkstate(name, args, telemetry_dir)
-    # Flowstats must land before the metrics snapshot: the derived SLO
-    # gauges (fairness, worst-pair p99) are stamped into the still-active
-    # registry so they reach the manifest and the ledger.
-    fs_path = None
-    if args.flowstats:
-        fs_path = _emit_flowstats(name, args, telemetry_dir)
+    if saved["timeseries"] is not None:
+        steady_report = steady_state_report(saved["timeseries"][0])
+    if saved["flowstats"] is not None:
+        _stamp_fairness_gauges(saved["flowstats"][0])
     profile_path = None
     if profiler is not None:
         profile_path = _emit_profile(name, args, telemetry_dir, profiler)
@@ -432,7 +454,6 @@ def _emit_telemetry(
         config={
             "processes": args.processes,
             "path_store": args.path_store,
-            "store_format": args.store_format,
             "pairs_on_demand": args.pairs_on_demand,
             "export_dir": args.export_dir,
             "trace_sample": args.trace_sample,
@@ -468,18 +489,18 @@ def _emit_telemetry(
             f"check_windows={steady_report['check_windows']}, "
             f"rel_tol={steady_report['rel_tol']})"
         )
-    if args.trace_sample is not None:
-        _emit_trace(name, args, telemetry_dir)
-    if ts_path is not None:
-        print(f"# timeseries: {ts_path}")
-    if ls_path is not None:
-        print(f"# linkstate: {ls_path}")
+    if saved["trace"] is not None:
+        _print_trace_tables(*saved["trace"])
+    if saved["timeseries"] is not None:
+        print(f"# timeseries: {saved['timeseries'][1]}")
+    if saved["linkstate"] is not None:
+        print(f"# linkstate: {saved['linkstate'][1]}")
         print(
             f"# inspect it: python -m repro.experiments inspect "
             f"{telemetry_dir}"
         )
-    if fs_path is not None:
-        print(f"# flowstats: {fs_path}")
+    if saved["flowstats"] is not None:
+        print(f"# flowstats: {saved['flowstats'][1]}")
         print(
             f"# flow SLOs:  python -m repro.experiments flows "
             f"{telemetry_dir}"
@@ -542,90 +563,26 @@ def _emit_profile(name: str, args, telemetry_dir: Path, profiler) -> Path:
     return profile_path
 
 
-def _emit_timeseries(name: str, args, telemetry_dir: Path):
-    """Persist the window buffers; return (steady report, path or None)."""
-    from repro.obs.timeseries import save_timeseries, steady_state_report
+def _stamp_fairness_gauges(snap) -> None:
+    """Stamp the flow record's worst-run SLO gauges into the registry.
 
-    snap = obs_timeseries.snapshot()
-    obs_timeseries.disable()
-    if snap is None or not snap["n_windows"]:
-        return None, None
-    ts_path = telemetry_dir / f"{name}-{args.scale}.timeseries.npz"
-    save_timeseries(ts_path, snap)
-    report = steady_state_report(snap)
-    obs_log.info(
-        "timeseries_written",
-        experiment=name,
-        path=str(ts_path),
-        runs=int(snap["n_runs"]),
-        windows=int(snap["n_windows"]),
-        warmup_sufficient=int(report["n_warmup_sufficient"]),
-    )
-    return report, ts_path
-
-
-def _emit_linkstate(name: str, args, telemetry_dir: Path):
-    """Persist the dense link-state matrices; return the path or None."""
-    from repro.obs.linkstate import save_linkstate
-
-    snap = obs_linkstate.snapshot()
-    obs_linkstate.disable()
-    if snap is None or not snap["n_windows"]:
-        return None
-    ls_path = telemetry_dir / f"{name}-{args.scale}.linkstate.npz"
-    save_linkstate(ls_path, snap)
-    obs_log.info(
-        "linkstate_written",
-        experiment=name,
-        path=str(ls_path),
-        runs=int(snap["n_runs"]),
-        windows=int(snap["n_windows"]),
-    )
-    return ls_path
-
-
-def _emit_flowstats(name: str, args, telemetry_dir: Path):
-    """Persist the per-pair flow record and stamp its derived SLO gauges.
-
-    Returns the artifact path, or None when nothing was recorded.  The
-    worst-run Jain index and worst pair p99 go into the *still-active*
-    registry so the manifest snapshot taken right after includes them.
+    The worst-run Jain index and worst pair p99 go into the still-active
+    registry so the manifest snapshot taken afterwards includes them.
     """
     from repro.obs.fairness import snapshot_gauges
-    from repro.obs.flowstats import save_flowstats
 
-    snap = obs_flowstats.snapshot()
-    obs_flowstats.disable()
-    if snap is None or not snap["n_runs"]:
-        return None
-    fs_path = telemetry_dir / f"{name}-{args.scale}.flowstats.npz"
-    save_flowstats(fs_path, snap)
     reg = metrics.active()
     if reg is not None:
         for gname, value in sorted(snapshot_gauges(snap).items()):
             g = reg.gauge(gname)
             g.set(max(g.value, value))
-    obs_log.info(
-        "flowstats_written",
-        experiment=name,
-        path=str(fs_path),
-        runs=int(snap["n_runs"]),
-        pairs=int(snap["n_pairs"]),
-    )
-    return fs_path
 
 
-def _emit_trace(name: str, args, telemetry_dir: Path) -> None:
-    """Persist the flight-recorder buffers and print trace summaries."""
+def _print_trace_tables(tsnap, trace_path: Path) -> None:
+    """Print the flight recorder's latency and path-share summaries."""
     from repro.obs.trace import TraceAnalysis
     from repro.report import latency_decomposition_table, path_share_table
 
-    tsnap = obs_trace.snapshot()
-    if tsnap is None or not tsnap["n_packets"]:
-        obs_trace.disable()
-        return
-    trace_path = telemetry_dir / f"{name}-{args.scale}.trace.npz"
-    obs_trace.save_trace(trace_path, tsnap)
     analysis = TraceAnalysis(tsnap)
     decomp = analysis.latency_decomposition()
     if decomp:
@@ -636,11 +593,3 @@ def _emit_trace(name: str, args, telemetry_dir: Path) -> None:
         print()
         print(path_share_table(shares))
     print(f"# trace:    {trace_path}")
-    obs_log.info(
-        "trace_written",
-        experiment=name,
-        path=str(trace_path),
-        packets=int(tsnap["n_packets"]),
-        events=int(tsnap["n_events"]),
-    )
-    obs_trace.disable()

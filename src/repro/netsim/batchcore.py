@@ -77,6 +77,7 @@ from repro.netsim.simulator import (
     PatternTraffic,
     SimResult,
     UniformTraffic,
+    check_traffic_hosts,
 )
 from repro.obs import flowstats as obs_flowstats
 from repro.obs import linkstate as obs_linkstate
@@ -193,6 +194,7 @@ class BatchSimulator:
                 "cells per-run on the fast engine"
             )
         for lane in lanes:
+            check_traffic_hosts(lane.traffic, topology)
             if not (0.0 < lane.injection_rate <= 1.0):
                 raise ConfigurationError(
                     f"injection_rate must be in (0, 1], got {lane.injection_rate}"
@@ -1886,7 +1888,7 @@ class BatchSimulator:
         sums = self._sample_sums[lane]
         counts = self._sample_counts[lane]
         samples = tuple(
-            (sums[i] / counts[i]) if counts[i] else float("nan")
+            float(sums[i] / counts[i]) if counts[i] else float("nan")
             for i in range(cfg.n_samples)
         )
         measured = int(counts.sum())

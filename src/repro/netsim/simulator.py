@@ -127,6 +127,22 @@ class PatternTraffic:
         return sorted(pairs)
 
 
+def check_traffic_hosts(
+    traffic: UniformTraffic | PatternTraffic, topology: Jellyfish
+) -> None:
+    """Reject traffic addressing hosts the topology does not have."""
+    n_hosts = (
+        traffic.pattern.n_hosts
+        if isinstance(traffic, PatternTraffic)
+        else traffic.n_hosts
+    )
+    if n_hosts > topology.n_hosts:
+        raise TrafficError(
+            f"traffic spans {n_hosts} hosts but the topology has only "
+            f"{topology.n_hosts}"
+        )
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Statistics of one simulation run.
@@ -222,6 +238,7 @@ class Simulator:
             raise ConfigurationError(
                 f"injection_rate must be in (0, 1], got {injection_rate}"
             )
+        check_traffic_hosts(traffic, topology)
         self.topology = topology
         self.config = config
         self.rate = float(injection_rate)

@@ -1,5 +1,9 @@
 """Observability for the repro pipeline: metrics, logs, traces, manifests.
 
+- :mod:`repro.obs.recorder` — the recorder protocol every capture layer
+  below follows (one slot per kind: enable / capture / snapshot / merge /
+  ``.npz`` persistence) and the registry that carries them across pool
+  workers and batched lanes;
 - :mod:`repro.obs.metrics` — counters / gauges / histograms / span timers /
   per-link arrays with a no-op fast path when disabled and snapshot+merge
   semantics for cross-process aggregation;
@@ -55,6 +59,7 @@ from repro.obs import (
     log,
     metrics,
     monitor,
+    recorder,
     timeseries,
     trace,
     trend,
@@ -78,6 +83,7 @@ __all__ = [
     "log",
     "metrics",
     "monitor",
+    "recorder",
     "timeseries",
     "trace",
     "trend",

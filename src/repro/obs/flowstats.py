@@ -16,17 +16,9 @@ every ordered (source host, destination host) pair of a run it keeps
   (``(run, pair, bin, count)`` coordinate rows sorted by key), because
   the dense ``runs x pairs x bins`` cube is almost entirely zeros.
 
-The same three design rules as ``metrics``/``trace``/``linkstate``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); simulators read :func:`active`
-  once at construction and pay nothing when it is ``None``.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`FlowstatsRecorder.merge`), so a parallel or batched-lane
-  ``run_saturation_grid`` produces the byte-identical flow record of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_flowstats` / :func:`load_flowstats`).
+Module state, task-order merge and ``.npz`` persistence
+(:func:`save_flowstats` / :func:`load_flowstats`) come from the shared
+recorder protocol (:mod:`repro.obs.recorder`).
 
 Engines do not tally anything themselves: they hand the recorder the raw
 measured ``(pair id, latency)`` streams once per run
@@ -40,13 +32,12 @@ over all ordered host pairs, with the endpoint tables (``pair_src`` /
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Recorder, Slot
 
 __all__ = [
     "FLOWSTATS_FORMAT",
@@ -113,7 +104,7 @@ def pair_endpoints(n_hosts: int) -> Dict[str, np.ndarray]:
     }
 
 
-class FlowstatsRecorder:
+class FlowstatsRecorder(Recorder):
     """Columnar per-pair flow store fed once per simulator run.
 
     The pair count, bin count and host count are not constructor
@@ -122,6 +113,8 @@ class FlowstatsRecorder:
     :meth:`begin_run`), so pool workers can be constructed from
     :func:`config` before any topology exists.
     """
+
+    FORMAT = FLOWSTATS_FORMAT
 
     def __init__(self):
         self.n_hosts = 0  # adopted from the first run's metadata
@@ -308,11 +301,7 @@ class FlowstatsRecorder:
         per-cell snapshots in task order reproduces exactly the flow
         record a serial run under one recorder would have produced.
         """
-        if snap.get("format") != FLOWSTATS_FORMAT:
-            raise ConfigurationError(
-                f"cannot merge flowstats snapshot of format "
-                f"{snap.get('format')!r}"
-            )
+        self._check_format(snap)
         n = int(snap["n_runs"])
         if int(snap.get("n_pairs", 0)):
             self._adopt_shape(
@@ -343,110 +332,18 @@ class FlowstatsRecorder:
                 cols.append(vals[hist_run == r].copy())
 
 
-# ------------------------------------------------------- persistence
-def save_flowstats(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_flowstats(path) -> dict:
-    """Load a :func:`save_flowstats` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("n_hosts", "n_pairs", "n_bins", "n_runs"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != FLOWSTATS_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {FLOWSTATS_FORMAT} file "
-            f"(format={snap['format']!r})"
-        )
-    return snap
-
-
 # --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when flow stats are off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``linkstate._active``.
-_active: Optional[FlowstatsRecorder] = None
-
-
-def enable() -> FlowstatsRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = FlowstatsRecorder()
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[FlowstatsRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers).
-
-    The recorder has none, so this is ``{}`` when enabled and ``None``
-    when disabled — callers must test ``is not None``, not truthiness.
-    """
-    return None if _active is None else {}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[FlowstatsRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's flow stats with this (parameterised by
-    the parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = FlowstatsRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+#: The process's flow-stats slot; simulators read ``active()`` once at
+#: construction.  The recorder takes no parameters, so ``config()`` is
+#: ``{}`` while it is on.
+SLOT = Slot("flowstats", FlowstatsRecorder)
+enable = SLOT.enable
+disable = SLOT.disable
+enabled = SLOT.enabled
+active = SLOT.active
+config = SLOT.config
+capture = SLOT.capture
+snapshot = SLOT.snapshot
+merge_snapshot = SLOT.merge_snapshot
+save_flowstats = SLOT.save
+load_flowstats = SLOT.load

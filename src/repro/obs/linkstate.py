@@ -18,17 +18,9 @@ window, three dense int64 matrices of shape ``(windows, n_links)``:
   reached during the window (carried over: a window opens at the
   occupancy the last one closed at).
 
-The same three design rules as ``metrics``/``trace``/``timeseries``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); simulators read :func:`active`
-  once at construction and pay nothing when it is ``None``.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`LinkstateRecorder.merge`), so a parallel or batched-lane
-  ``run_saturation_grid`` produces the byte-identical link state of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_linkstate` / :func:`load_linkstate`).
+Module state, task-order merge and ``.npz`` persistence
+(:func:`save_linkstate` / :func:`load_linkstate`) come from the shared
+recorder protocol (:mod:`repro.obs.recorder`).
 
 The snapshot also carries the link endpoint tables (``link_src`` /
 ``link_dst``: switch ids, hosts encoded as ``-1 - host``), so the
@@ -38,13 +30,12 @@ upstream through the topology without re-loading it.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Recorder, Slot
 
 __all__ = [
     "LINKSTATE_FORMAT",
@@ -96,7 +87,7 @@ def link_endpoints(topology) -> Dict[str, np.ndarray]:
     return {"link_src": src, "link_dst": dst}
 
 
-class LinkstateRecorder:
+class LinkstateRecorder(Recorder):
     """Columnar dense per-link store fed by the simulator at window edges.
 
     Parameters
@@ -113,6 +104,8 @@ class LinkstateRecorder:
     passes it to :meth:`begin_run`), so pool workers can be constructed
     from :func:`config` before any topology exists.
     """
+
+    FORMAT = LINKSTATE_FORMAT
 
     def __init__(self, window: int = 100, capacity: int = 256):
         if window < 1:
@@ -232,6 +225,9 @@ class LinkstateRecorder:
         self.n_windows += 1
 
     # --------------------------------------------------- snapshot / merge
+    def config(self) -> dict:
+        return {"window": self.window}
+
     def snapshot(self) -> dict:
         """Everything recorded so far as a plain dict of numpy arrays.
 
@@ -271,10 +267,7 @@ class LinkstateRecorder:
         snapshots in task order reproduces exactly the link state a
         serial run under one recorder would have recorded.
         """
-        if snap.get("format") != LINKSTATE_FORMAT:
-            raise ConfigurationError(
-                f"cannot merge linkstate snapshot of format {snap.get('format')!r}"
-            )
+        self._check_format(snap)
         if int(snap["window"]) != self.window:
             raise ConfigurationError(
                 "cannot merge linkstate snapshots with different window "
@@ -305,108 +298,17 @@ class LinkstateRecorder:
         self.n_windows += n
 
 
-# ------------------------------------------------------- persistence
-def save_linkstate(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_linkstate(path) -> dict:
-    """Load a :func:`save_linkstate` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("window", "n_links", "n_runs", "n_windows"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != LINKSTATE_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {LINKSTATE_FORMAT} file (format={snap['format']!r})"
-        )
-    return snap
-
-
 # --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when link state is off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``timeseries._active``.
-_active: Optional[LinkstateRecorder] = None
-
-
-def enable(window: int = 100, capacity: int = 256) -> LinkstateRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = LinkstateRecorder(window=window, capacity=capacity)
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[LinkstateRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {"window": rec.window}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[LinkstateRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's link state with this (parameterised by
-    the parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = LinkstateRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+#: The process's link-state slot; simulators read ``active()`` once at
+#: construction.
+SLOT = Slot("linkstate", LinkstateRecorder)
+enable = SLOT.enable
+disable = SLOT.disable
+enabled = SLOT.enabled
+active = SLOT.active
+config = SLOT.config
+capture = SLOT.capture
+snapshot = SLOT.snapshot
+merge_snapshot = SLOT.merge_snapshot
+save_linkstate = SLOT.save
+load_linkstate = SLOT.load

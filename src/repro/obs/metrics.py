@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
+
+from repro.obs.recorder import Recorder, Slot
 
 __all__ = [
     "NOOP",
@@ -227,8 +228,10 @@ class _Span:
         return False
 
 
-class MetricsRegistry:
+class MetricsRegistry(Recorder):
     """One process's metric store; see the module docstring for semantics."""
+
+    FORMAT = SNAPSHOT_FORMAT
 
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
@@ -329,42 +332,34 @@ class MetricsRegistry:
 _active: Optional[MetricsRegistry] = None
 
 
+class _MetricsSlot(Slot):
+    """The metrics slot keeps its registry in the module-level
+    ``_active`` above, where the hot paths read it."""
+
+    @property
+    def _active(self) -> Optional[MetricsRegistry]:
+        return _active
+
+    @_active.setter
+    def _active(self, reg: Optional[MetricsRegistry]) -> None:
+        global _active
+        _active = reg
+
+
+SLOT = _MetricsSlot("metrics", MetricsRegistry)
+disable = SLOT.disable
+enabled = SLOT.enabled
+active = SLOT.active
+capture = SLOT.capture
+snapshot = SLOT.snapshot
+merge_snapshot = SLOT.merge_snapshot
+
+
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Install (and return) the process's active registry."""
     global _active
     _active = registry if registry is not None else MetricsRegistry()
     return _active
-
-
-def disable() -> None:
-    """Turn metrics off; accessors return :data:`NOOP` again."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[MetricsRegistry]:
-    return _active
-
-
-@contextmanager
-def capture() -> Iterator[MetricsRegistry]:
-    """Divert metrics to a fresh registry for the duration of the block.
-
-    Used by pool workers to scope one task's metrics; the previous active
-    registry (or disabled state) is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = MetricsRegistry()
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
 
 
 def counter(name: str):
@@ -396,17 +391,3 @@ def annotate(key: str, value) -> None:
     reg = _active
     if reg is not None:
         reg.annotate(key, value)
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active registry, or ``None`` when disabled."""
-    reg = _active
-    return None if reg is None else reg.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active registry (no-op if either
-    side is absent)."""
-    reg = _active
-    if reg is not None and snap:
-        reg.merge(snap)

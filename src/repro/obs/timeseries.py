@@ -9,18 +9,11 @@ window's ejections, credit stalls, flits forwarded, total VC-buffer
 occupancy, and the ``top_links`` hottest links of the window — into
 preallocated columnar numpy buffers.
 
-Three design rules carried over from ``metrics``/``trace``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); with the recorder off the
-  simulator pays one ``is None`` test at construction plus one cheap
-  boolean test per phase call — nothing per cycle.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`TimeseriesRecorder.merge`), so a parallel
-  ``run_saturation_grid`` produces the byte-identical time series of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_timeseries` / :func:`load_timeseries`).
+Module state, task-order merge and ``.npz`` persistence
+(:func:`save_timeseries` / :func:`load_timeseries`) come from the shared
+recorder protocol (:mod:`repro.obs.recorder`); with the recorder off the
+simulator pays one ``is None`` test at construction plus one cheap
+boolean test per phase call — nothing per cycle.
 
 On top of the raw series sit the steady-state tools:
 :func:`spans_converged` is the moving-window convergence test the
@@ -32,14 +25,13 @@ actually sufficient (the number the manifest carries).
 
 from __future__ import annotations
 
-import json
 import math
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Recorder, Slot
 
 __all__ = [
     "TIMESERIES_FORMAT",
@@ -72,7 +64,7 @@ WINDOW_COLS = (
 )
 
 
-class TimeseriesRecorder:
+class TimeseriesRecorder(Recorder):
     """Columnar per-window store fed by the simulator at window edges.
 
     Parameters
@@ -88,6 +80,8 @@ class TimeseriesRecorder:
         How many of the window's hottest directed links to record (ids
         and flit counts, hottest first, ties broken by link id).
     """
+
+    FORMAT = TIMESERIES_FORMAT
 
     def __init__(self, window: int = 100, capacity: int = 1024, top_links: int = 4):
         if window < 1:
@@ -190,6 +184,9 @@ class TimeseriesRecorder:
             hook(meta, {c: int(col[c][row]) for c in WINDOW_COLS})
 
     # --------------------------------------------------- snapshot / merge
+    def config(self) -> dict:
+        return {"window": self.window, "top_links": self.top_links}
+
     def snapshot(self) -> dict:
         """Everything recorded so far as a plain dict of numpy arrays.
 
@@ -223,10 +220,7 @@ class TimeseriesRecorder:
         snapshots in task order reproduces exactly the series a serial
         run under one recorder would have recorded.
         """
-        if snap.get("format") != TIMESERIES_FORMAT:
-            raise ConfigurationError(
-                f"cannot merge timeseries snapshot of format {snap.get('format')!r}"
-            )
+        self._check_format(snap)
         if int(snap["window"]) != self.window or int(snap["top_links"]) != self.top_links:
             raise ConfigurationError(
                 "cannot merge timeseries snapshots with different window "
@@ -382,112 +376,17 @@ def steady_state_report(
     }
 
 
-# ------------------------------------------------------- persistence
-def save_timeseries(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_timeseries(path) -> dict:
-    """Load a :func:`save_timeseries` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("window", "top_links", "n_runs", "n_windows"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != TIMESERIES_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {TIMESERIES_FORMAT} file (format={snap['format']!r})"
-        )
-    return snap
-
-
 # --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when time series are off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``trace._active``.
-_active: Optional[TimeseriesRecorder] = None
-
-
-def enable(
-    window: int = 100, capacity: int = 1024, top_links: int = 4
-) -> TimeseriesRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = TimeseriesRecorder(
-        window=window, capacity=capacity, top_links=top_links
-    )
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[TimeseriesRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {"window": rec.window, "top_links": rec.top_links}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[TimeseriesRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's series with this (parameterised by the
-    parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = TimeseriesRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+#: The process's time-series slot; simulators read ``active()`` once at
+#: construction.
+SLOT = Slot("timeseries", TimeseriesRecorder)
+enable = SLOT.enable
+disable = SLOT.disable
+enabled = SLOT.enabled
+active = SLOT.active
+config = SLOT.config
+capture = SLOT.capture
+snapshot = SLOT.snapshot
+merge_snapshot = SLOT.merge_snapshot
+save_timeseries = SLOT.save
+load_timeseries = SLOT.load

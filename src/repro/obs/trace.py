@@ -11,15 +11,10 @@ sampled subset of packets:
   packet *event* (inject, VC alloc, hop enqueue, hop depart, credit
   stall, eject).  Head-based sampling traces every ``sample``-th injected
   packet; ring semantics bound memory whatever the run length.
-- **Module state** mirroring :mod:`repro.obs.metrics`: one active
-  recorder per process (:func:`enable` / :func:`capture`), hot paths pay
-  a single ``is None`` test when tracing is off, and worker snapshots
-  merge deterministically (:func:`merge_snapshot`) — merged in task
-  order, a parallel grid produces the byte-identical trace of a serial
-  run.
-- **Persistence** — :func:`save_trace` / :func:`load_trace` round-trip a
-  snapshot through a compressed ``.npz`` written next to the run
-  manifest.
+- **Module state and persistence** from the shared recorder protocol
+  (:mod:`repro.obs.recorder`): :func:`enable` / :func:`capture` /
+  :func:`merge_snapshot`, and :func:`save_trace` / :func:`load_trace`
+  round-tripping a snapshot through a compressed ``.npz``.
 - **TraceAnalysis** — the reader: per-packet latency decomposition
   (source queueing vs. switch queueing vs. serialization), per-hop stall
   attribution, per-path-index load share, and a route-membership audit
@@ -30,13 +25,12 @@ sampled subset of packets:
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Recorder, Slot
 
 __all__ = [
     "TRACE_FORMAT",
@@ -89,7 +83,7 @@ _PK_COLS = (
 _EV_COLS = ("uid", "run", "kind", "time", "switch", "port", "vc", "link")
 
 
-class TraceRecorder:
+class TraceRecorder(Recorder):
     """Columnar ring-buffer store for sampled per-packet events.
 
     Parameters
@@ -104,6 +98,8 @@ class TraceRecorder:
         Initial column count of the intended-route matrix; grows on
         demand when a longer route is recorded.
     """
+
+    FORMAT = TRACE_FORMAT
 
     def __init__(
         self,
@@ -221,6 +217,14 @@ class TraceRecorder:
         ev["link"][j] = link
 
     # --------------------------------------------------- snapshot / merge
+    def config(self) -> dict:
+        return {
+            "sample": self.sample,
+            "event_capacity": self.event_capacity,
+            "packet_capacity": self.packet_capacity,
+            "route_width": self._route.shape[1],
+        }
+
     @staticmethod
     def _chronological(col: np.ndarray, written: int, capacity: int) -> np.ndarray:
         """Ring rows in oldest-to-newest order (copied)."""
@@ -280,10 +284,7 @@ class TraceRecorder:
         merging per-cell snapshots in task order reproduces exactly the
         trace a serial run under one recorder would have recorded.
         """
-        if snap.get("format") != TRACE_FORMAT:
-            raise ConfigurationError(
-                f"cannot merge trace snapshot of format {snap.get('format')!r}"
-            )
+        self._check_format(snap)
         run_off = len(self.runs)
         uid_off = self.n_packets
         self.runs.extend(dict(r) for r in snap["runs"])
@@ -334,133 +335,20 @@ class TraceRecorder:
             )
 
 
-# ------------------------------------------------------- persistence
-def save_trace(path, snap: Optional[Mapping] = None):
-    """Write a trace snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a no-op
-    returning ``None`` when tracing is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_trace(path) -> dict:
-    """Load a :func:`save_trace` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            if arr.ndim == 0:
-                val = arr.item()
-                snap[key] = val
-            else:
-                snap[key] = arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in (
-        "sample", "event_capacity", "packet_capacity", "n_runs",
-        "n_injected", "n_packets", "n_events", "packets_dropped",
-        "events_dropped",
-    ):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != TRACE_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {TRACE_FORMAT} trace (format={snap['format']!r})"
-        )
-    return snap
-
-
 # --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when tracing is disabled.
-#: Hot paths read this attribute directly, exactly like ``metrics._active``.
-_active: Optional[TraceRecorder] = None
-
-
-def enable(
-    sample: int = 1,
-    event_capacity: int = 65536,
-    packet_capacity: int = 8192,
-    route_width: int = 8,
-) -> TraceRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = TraceRecorder(
-        sample=sample,
-        event_capacity=event_capacity,
-        packet_capacity=packet_capacity,
-        route_width=route_width,
-    )
-    return _active
-
-
-def disable() -> None:
-    """Turn tracing off; the simulator pays one ``is None`` test again."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[TraceRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {
-        "sample": rec.sample,
-        "event_capacity": rec.event_capacity,
-        "packet_capacity": rec.packet_capacity,
-        "route_width": rec._route.shape[1],
-    }
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[TraceRecorder]:
-    """Divert tracing to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's trace with this (parameterised by the
-    parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = TraceRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+#: The process's flight-recorder slot; simulators read ``active()`` once
+#: at construction.
+SLOT = Slot("trace", TraceRecorder)
+enable = SLOT.enable
+disable = SLOT.disable
+enabled = SLOT.enabled
+active = SLOT.active
+config = SLOT.config
+capture = SLOT.capture
+snapshot = SLOT.snapshot
+merge_snapshot = SLOT.merge_snapshot
+save_trace = SLOT.save
+load_trace = SLOT.load
 
 
 # ------------------------------------------------------------ analysis

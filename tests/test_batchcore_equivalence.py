@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, TrafficError
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
@@ -310,6 +310,17 @@ class TestLaneMasking:
     def test_single_lane_batch_equals_fast_engine(self):
         lane = BatchLane("ksp_adaptive", _traffic("uniform", 24), 0.4, seed=11)
         _assert_equivalent([lane])
+        # The whole result, Python types included, prints identically.
+        topo = _topo()
+        cfg = SimConfig(**CYCLES, engine="fast")
+        serial = Simulator(
+            topo, PathCache(topo, "redksp", k=4, seed=1), lane.mechanism,
+            lane.traffic, lane.injection_rate, cfg, seed=lane.seed,
+        ).run()
+        batched = BatchSimulator(
+            topo, PathCache(topo, "redksp", k=4, seed=1), [lane], cfg
+        ).run()[0]
+        assert repr(batched) == repr(serial)
 
     def test_non_monotonic_finish_order(self):
         # Lane 0 carries far more load than lanes 1/2, so it keeps
@@ -408,6 +419,14 @@ class TestBatchValidation:
             BatchSimulator(
                 _topo(), PathCache(_topo(), "redksp", k=4, seed=1),
                 [], SimConfig(**CYCLES),
+            )
+
+    def test_traffic_beyond_topology_hosts_rejected(self):
+        with pytest.raises(TrafficError, match="hosts"):
+            BatchSimulator(
+                _topo(), PathCache(_topo(), "redksp", k=4, seed=1),
+                [BatchLane("sp", UniformTraffic(_topo().n_hosts + 5), 0.4)],
+                SimConfig(**CYCLES),
             )
 
     def test_bad_rate_rejected(self):

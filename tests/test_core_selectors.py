@@ -114,6 +114,14 @@ class TestPathCache:
         pairs = [(s, d) for s in range(6) for d in range(6) if s != d]
         assert any(c1.get(s, d) != c2.get(s, d) for s, d in pairs)
 
+    def test_out_of_range_pair_rejected(self, small_jellyfish):
+        cache = PathCache(small_jellyfish, "ksp", k=2)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            cache.get(0, 99)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            cache.get(-1, 0)
+        assert cache.misses == 0 and len(cache) == 0
+
     def test_precompute(self, small_jellyfish):
         cache = PathCache(small_jellyfish, "ksp", k=4)
         cache.precompute([(0, 1), (2, 3)])

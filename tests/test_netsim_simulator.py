@@ -208,6 +208,15 @@ class TestSimulatorMechanics:
             with pytest.raises(ConfigurationError):
                 Simulator(topo, paths, "sp", UniformTraffic(topo.n_hosts), rate, FAST)
 
+    def test_traffic_beyond_topology_hosts_rejected(self, topo, paths):
+        with pytest.raises(TrafficError, match="hosts"):
+            Simulator(
+                topo, paths, "sp", UniformTraffic(topo.n_hosts + 5), 0.2, FAST
+            )
+        pattern = random_permutation(topo.n_hosts + 5, seed=0)
+        with pytest.raises(TrafficError, match="hosts"):
+            Simulator(topo, paths, "sp", PatternTraffic(pattern), 0.2, FAST)
+
     def test_seeded_runs_reproduce(self, topo, paths):
         def run():
             sim = Simulator(

@@ -441,8 +441,8 @@ def test_parallel_grid_timeseries_byte_identical_to_serial(topo, tmp_path):
     assert digests[1] == digests[2]
 
 
-def test_grid_without_timeseries_still_returns_four_none(topo):
-    # The no-telemetry fast path ships (cell, None, None, None, None, None).
+def test_grid_without_telemetry_ships_no_snapshots(topo):
+    # A worker with no recorder enabled ships (cell, {}): no snapshots.
     from repro.netsim import parallel
     from repro.topology.serialization import topology_to_dict
 
@@ -457,18 +457,11 @@ def test_grid_without_timeseries_still_returns_four_none(topo):
     )
     try:
         cfg = SimConfig(warmup_cycles=20, sample_cycles=20, n_samples=1)
-        cell, m, t, ts, ls, fs = parallel._run_cell(
+        cell, snaps = parallel._run_cell(
             ("ksp", "random", 0, pattern.flows, pattern.n_hosts,
              (0.2,), cfg, (9, 0))
         )
-        assert m is None and t is None and ts is None and ls is None
-        assert fs is None
+        assert snaps == {}
         assert cell.scheme == "ksp"
     finally:
-        parallel._GRID_STATE[0] = None
-        parallel._GRID_OBS[0] = False
-        parallel._GRID_TRACE[0] = None
-        parallel._GRID_TS[0] = None
-        parallel._GRID_LS[0] = None
-        parallel._GRID_FS[0] = None
-        parallel._GRID_HB[0] = None
+        parallel._grid_reset()
