@@ -15,13 +15,14 @@ message and for the whole exchange (the paper's "communication time").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.appsim.fairshare import maxmin_rates
+from repro.appsim.fairshare import incidence, link_capacity, waterfill
 from repro.appsim.flows import FlowSpec
 from repro.errors import SimulationError
+from repro.obs import metrics
 
 __all__ = ["AppSimResult", "run_flows"]
 
@@ -52,39 +53,56 @@ def run_flows(
     capacity: float | np.ndarray,
     n_links: int | None = None,
 ) -> AppSimResult:
-    """Simulate ``flows`` sharing ``capacity`` until all complete."""
+    """Simulate ``flows`` sharing ``capacity`` until all complete.
+
+    The flow-link incidence is built once; each completion event drops the
+    finished flows' entries from it and from the per-link flow counts, and
+    the next max-min solve water-fills what is left.
+    """
     if not flows:
         raise SimulationError("no flows to simulate")
     n = len(flows)
+    cap = link_capacity(capacity, n_links)
+    flow_of, link_of = incidence([f.links for f in flows], cap.size)
+    count = np.bincount(link_of, minlength=cap.size)
     remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
     total_bytes = float(remaining.sum())
     completion = np.zeros(n)
-    alive: List[int] = list(range(n))
+    rates = np.full(n, np.inf)  # link-less flows stay unconstrained
+    finished = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
     t = 0.0
 
-    guard = 0
-    while alive:
-        guard += 1
-        if guard > n + 1:
-            raise SimulationError("flow completion loop failed to converge")
-        rates = maxmin_rates([flows[i].links for i in alive], capacity, n_links)
-        if not (rates > 0).all():
-            raise SimulationError("max-min returned a zero rate")
-        ttc = remaining[alive] / rates  # inf-rate flows finish instantly
-        dt = float(ttc.min())
-        t += dt
-        threshold = dt * (1 + _REL_TOL)
-        still: List[int] = []
-        for pos, i in enumerate(alive):
-            if ttc[pos] <= threshold:
-                completion[i] = t
-                remaining[i] = 0.0
-            else:
-                remaining[i] -= rates[pos] * dt
-                still.append(i)
-        if len(still) == len(alive):  # pragma: no cover - tolerance net
-            raise SimulationError("no flow completed in an event step")
-        alive = still
+    events = iters = 0
+    with metrics.span("appsim.run_flows"):
+        while alive.size:
+            events += 1
+            if events > n + 1:
+                raise SimulationError("flow completion loop failed to converge")
+            iters += waterfill(flow_of, link_of, count.copy(), cap.copy(), rates)
+            alive_rates = rates[alive]
+            if not (alive_rates > 0).all():
+                raise SimulationError("max-min returned a zero rate")
+            ttc = remaining[alive] / alive_rates  # inf-rate flows finish instantly
+            dt = float(ttc.min())
+            t += dt
+            done = ttc <= dt * (1 + _REL_TOL)
+            if not done.any():  # pragma: no cover - tolerance net
+                raise SimulationError("no flow completed in an event step")
+            ended = alive[done]
+            completion[ended] = t
+            left = ~done
+            alive = alive[left]
+            remaining[alive] -= alive_rates[left] * dt
+            finished[ended] = True
+            gone = finished[flow_of]
+            count -= np.bincount(link_of[gone], minlength=count.size)
+            flow_of = flow_of[~gone]
+            link_of = link_of[~gone]
+    metrics.counter("appsim.runs").inc()
+    metrics.counter("appsim.flows").inc(n)
+    metrics.counter("appsim.events").inc(events)
+    metrics.counter("appsim.waterfill_iters").inc(iters)
 
     message_completion: Dict[int, float] = {}
     for f, c in zip(flows, completion):

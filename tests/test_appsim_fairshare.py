@@ -94,3 +94,22 @@ class TestEdgeCases:
         n = 1000
         rates = maxmin_rates([arr(0)] * n, 1.0, n_links=1)
         assert rates == pytest.approx(np.full(n, 1e-3))
+
+
+class TestBoundaryValidation:
+    def test_negative_link_id_rejected(self):
+        # A negative id must not wrap around to the last link.
+        with pytest.raises(SimulationError, match="outside"):
+            maxmin_rates([np.array([-1])], 1.0, n_links=2)
+
+    def test_link_id_past_the_end_rejected(self):
+        with pytest.raises(SimulationError, match="outside"):
+            maxmin_rates([arr(0), arr(2)], 1.0, n_links=2)
+
+    def test_capacity_size_must_match_n_links(self):
+        with pytest.raises(SimulationError, match="n_links"):
+            maxmin_rates([arr(0)], np.array([1.0, 2.0, 3.0]), n_links=2)
+
+    def test_fractional_link_ids_rejected(self):
+        with pytest.raises(SimulationError, match="integers"):
+            maxmin_rates([np.array([0.5])], 1.0, n_links=2)

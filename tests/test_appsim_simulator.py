@@ -6,6 +6,7 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.appsim import FlowSpec, build_workload, run_flows, stencil_time
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs import metrics
 
 
 def flow(nbytes, links, msg=0):
@@ -65,6 +66,42 @@ class TestRunFlows:
         flows = [flow(10.0, [i], i) for i in range(6)]
         r = run_flows(flows, 1.0, n_links=6)
         assert r.flow_completion == pytest.approx(np.full(6, 10.0))
+
+
+class TestRunFlowsValidation:
+    def test_link_id_past_the_end_rejected(self):
+        with pytest.raises(SimulationError, match="outside"):
+            run_flows([FlowSpec(0, 1, 10.0, [7], 0)], 5.0, n_links=2)
+
+    def test_negative_link_id_rejected(self):
+        with pytest.raises(SimulationError, match="outside"):
+            run_flows([flow(10.0, [0]), flow(10.0, [-1], 1)], 5.0, n_links=2)
+
+    def test_capacity_size_must_match_n_links(self):
+        with pytest.raises(SimulationError, match="n_links"):
+            run_flows([flow(10.0, [0])], np.array([5.0, 5.0, 5.0]), n_links=2)
+
+
+class TestRunFlowsMetrics:
+    def test_counters_published_once_per_call(self):
+        flows = [flow(30.0, [0], 0), flow(90.0, [0], 1), flow(30.0, [1], 2),
+                 flow(10.0, [], 3)]
+        with metrics.capture() as reg:
+            r = run_flows(flows, 10.0, n_links=2)
+        counters = reg.snapshot()["counters"]
+        assert counters["appsim.runs"] == 1
+        assert counters["appsim.flows"] == len(flows)
+        assert counters["appsim.events"] == np.unique(r.flow_completion).size
+        assert counters["appsim.waterfill_iters"] >= counters["appsim.events"] - 1
+        assert reg.timers["appsim.run_flows"].count == 1
+
+    def test_events_match_distinct_completions_on_a_stencil(self):
+        topo = Jellyfish(9, 10, 6, seed=2)
+        with metrics.capture() as reg:
+            r = stencil_time(topo, "2dnn", "ksp", mapping="random", seed=0,
+                             total_bytes=1e6)
+        assert reg.counters["appsim.events"].value == np.unique(r.flow_completion).size
+        assert reg.counters["appsim.flows"].value == r.flow_completion.size
 
 
 class TestBuildWorkload:

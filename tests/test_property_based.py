@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.appsim import FlowSpec, run_flows
 from repro.appsim.fairshare import maxmin_rates
 from repro.core.dijkstra import shortest_path
 from repro.core.remove_find import edge_disjoint_paths
 from repro.core.yen import k_shortest_paths
 from repro.model import model_throughput
 from repro.core.cache import PathCache
+from repro.errors import SimulationError
 from repro.topology.jellyfish import Jellyfish
 from repro.topology.metrics import average_shortest_path_length
 from repro.topology.rrg import is_connected, is_regular, random_regular_graph
@@ -222,6 +224,125 @@ class TestFairshareProperties:
                 and r >= max(rates[j] for j, g in enumerate(flows) if link in g) - 1e-6
                 for link in f
             )
+
+
+
+# Differential oracle: the per-incidence water-fill and the event loop that
+# re-solves it from scratch over the alive flows at every completion.  The
+# array kernel must reproduce their floats bit for bit.
+_ORACLE_EPS = 1e-12
+_ORACLE_REL_TOL = 1e-9
+
+
+def _oracle_maxmin(flow_links, capacity, n_links=None):
+    n_flows = len(flow_links)
+    if np.isscalar(capacity):
+        cap_left = np.full(n_links, float(capacity))
+    else:
+        cap_left = np.asarray(capacity, dtype=np.float64).copy()
+        n_links = cap_left.size
+    rates = np.full(n_flows, np.inf)
+    if n_flows == 0:
+        return rates
+    count = np.zeros(n_links, dtype=np.int64)
+    flows_by_link = [[] for _ in range(n_links)]
+    active = np.zeros(n_flows, dtype=bool)
+    for f, links in enumerate(flow_links):
+        if len(links) == 0:
+            continue
+        active[f] = True
+        for link in links:
+            count[link] += 1
+            flows_by_link[link].append(f)
+    fill = 0.0
+    remaining = int(active.sum())
+    while remaining > 0:
+        used = count > 0
+        headroom = cap_left[used] / count[used]
+        r = float(headroom.min())
+        fill += r
+        cap_left[used] -= count[used] * r
+        saturated = np.flatnonzero(used & (cap_left <= _ORACLE_EPS * fill + _ORACLE_EPS))
+        if saturated.size == 0:
+            raise SimulationError("water-filling failed to saturate a link")
+        for link in saturated:
+            for f in flows_by_link[link]:
+                if active[f]:
+                    active[f] = False
+                    rates[f] = fill
+                    remaining -= 1
+                    for l2 in flow_links[f]:
+                        count[l2] -= 1
+    return rates
+
+
+def _oracle_completion(flows, capacity, n_links):
+    n = len(flows)
+    remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    completion = np.zeros(n)
+    alive = list(range(n))
+    t = 0.0
+    while alive:
+        rates = _oracle_maxmin([flows[i].links for i in alive], capacity, n_links)
+        ttc = remaining[alive] / rates
+        dt = float(ttc.min())
+        t += dt
+        threshold = dt * (1 + _ORACLE_REL_TOL)
+        still = []
+        for pos, i in enumerate(alive):
+            if ttc[pos] <= threshold:
+                completion[i] = t
+                remaining[i] = 0.0
+            else:
+                remaining[i] -= rates[pos] * dt
+                still.append(i)
+        assert len(still) < len(alive)
+        alive = still
+    return completion
+
+
+@st.composite
+def flow_sets(draw):
+    """Small flow sets: repeated link ids, link-less flows, shared sizes,
+    and scalar or per-link capacity."""
+    n_links = draw(st.integers(1, 8))
+    n_flows = draw(st.integers(1, 24))
+    links = draw(st.lists(
+        st.lists(st.integers(0, n_links - 1), max_size=5),
+        min_size=n_flows, max_size=n_flows,
+    ))
+    size = st.sampled_from([1.0, 3.0, 12.5]) | st.floats(0.25, 100.0)
+    sizes = draw(st.lists(size, min_size=n_flows, max_size=n_flows))
+    rate = st.sampled_from([1.0, 4.0]) | st.floats(0.5, 20.0)
+    if draw(st.booleans()):
+        capacity = np.asarray(draw(st.lists(rate, min_size=n_links, max_size=n_links)))
+    else:
+        capacity = draw(rate)
+    flows = [
+        FlowSpec(0, 1, nbytes, np.asarray(ls, dtype=np.int64), i)
+        for i, (nbytes, ls) in enumerate(zip(sizes, links))
+    ]
+    return flows, capacity, n_links
+
+
+class TestAppsimDifferential:
+    @given(case=flow_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_rates_and_completions_match_oracle(self, case):
+        flows, capacity, n_links = case
+        flow_links = [f.links for f in flows]
+        try:
+            want_rates = _oracle_maxmin(flow_links, capacity, n_links)
+            want_done = _oracle_completion(flows, capacity, n_links)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                maxmin_rates(flow_links, capacity, n_links)
+                run_flows(flows, capacity, n_links)
+            return
+        got_rates = maxmin_rates(flow_links, capacity, n_links)
+        assert got_rates.tobytes() == want_rates.tobytes()
+        got = run_flows(flows, capacity, n_links)
+        assert got.flow_completion.tobytes() == want_done.tobytes()
 
 
 # --------------------------------------------------------------------- model
