@@ -217,8 +217,15 @@ class PathArena:
             raise ArenaFormatError("arena CSR offsets are inconsistent")
 
     def lookup(self, source: int, destination: int) -> int:
-        """Pair index of ``(source, destination)``; -1 when not resident."""
-        key = source * self.n_switches + destination
+        """Pair index of ``(source, destination)``; -1 when not resident.
+
+        Ids outside ``[0, n_switches)`` are never resident: the flat key
+        would otherwise alias another pair's row.
+        """
+        n = self.n_switches
+        if not (0 <= source < n and 0 <= destination < n):
+            return -1
+        key = source * n + destination
         i = int(np.searchsorted(self.pair_key, key))
         if i < len(self.pair_key) and int(self.pair_key[i]) == key:
             return i

@@ -44,12 +44,18 @@ of it).
 
 Deliberate scope limits (each raises :class:`ConfigurationError` rather
 than silently diverging): fixed-budget run control only (no
-``steady_state``), no flight-recorder tracing, and only mechanisms with
-an array-native implementation (``sp``, ``random``, ``round_robin``,
-``ksp_ugal``, ``ksp_adaptive``) — vanilla UGAL composes Valiant routes
-mid-run through its mechanism object, which a shared-table batch cannot
-replay.  The grid runner (:mod:`repro.netsim.parallel`) falls back to
-per-cell execution for those cells.
+``steady_state``), no flight-recorder tracing, and only the KSP-table
+mechanisms (``sp``, ``random``, ``round_robin``, ``ksp_ugal``,
+``ksp_adaptive``).  Vanilla UGAL's candidates already sit in the shared
+route core (the fast core's Valiant table, with its replay
+:func:`repro.netsim.fastcore.draw_valiant`), but this engine's launch
+is built around KSP pair rows: per-lane draw plans with a fixed draw
+count per choose, and a deferred cross-lane pick over the rows'
+route-id matrices.  UGAL lanes need their own gather (a per-lane
+``draw_valiant`` call, a data-dependent draw count) and a pick over the
+table's two shortest halves; until that plumbing lands, the grid runner
+(:mod:`repro.netsim.parallel`) runs those cells per cell on the fast
+engine.
 
 Lanes that finish draining early are masked out of the drain loop, and
 the allocator's scan compacts to the rows of still-active lanes once any
@@ -95,9 +101,9 @@ __all__ = [
 ]
 
 #: Mechanisms with an array-native batched implementation.  Vanilla UGAL
-#: ("ugal") builds composite Valiant routes through its mechanism object
-#: at launch time and is excluded; the grid runner keeps such cells on
-#: the per-run fast engine.
+#: ("ugal") draws a data-dependent number of Valiant intermediates per
+#: launch and is excluded (see the module docstring); the grid runner
+#: keeps such cells on the per-run fast engine.
 BATCHABLE_MECHANISMS = ("sp", "random", "round_robin", "ksp_ugal", "ksp_adaptive")
 
 #: Per-mechanism launch draw plan: (draws per multi-path choose, skip the

@@ -19,7 +19,16 @@ Python objects:
   slots with head/length columns replaces the per-buffer deques;
 - **calendar queue** — arrivals always land exactly ``channel_latency``
   cycles ahead, so ``channel_latency + 1`` circular per-cycle buckets
-  replace the global heap: O(arrivals) per cycle, no heap churn.
+  replace the global heap: O(arrivals) per cycle, no heap churn;
+- **native mechanism choice** — all six routing mechanisms choose a
+  route id straight from the route core; the mechanism object is never
+  consulted.  Vanilla UGAL reads the core's *Valiant table* (each pair's
+  minimal route and per-intermediate composite candidates, route ids
+  only, persistent on the cache);
+- **batched draw replay** — the untraced launch phase replays a whole
+  cycle's ``Generator.integers`` calls on one ``random_raw`` batch:
+  :func:`draw_batch` for the KSP mechanisms' fixed draw plans,
+  :func:`draw_valiant` for vanilla UGAL's redraw loop.
 
 The core reproduces the reference engine *exactly*: it draws the RNG in
 the same order (per-mechanism path choice included), emits trace /
@@ -32,12 +41,14 @@ telemetry artifacts for all six mechanisms.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.cache import PathCache
+from repro.core.dijkstra import shortest_path
 from repro.netsim.config import SimConfig
+from repro.netsim.mechanisms import VanillaUgalMechanism
 from repro.netsim.network import NetworkWiring
 from repro.netsim.simulator import PatternTraffic, Simulator, UniformTraffic
 from repro.obs import metrics
@@ -45,7 +56,7 @@ from repro.obs import trace as obs_trace
 from repro.topology.jellyfish import Jellyfish
 from repro.utils.rng import SeedLike
 
-__all__ = ["FastSimulator", "draw_batch"]
+__all__ = ["FastSimulator", "draw_batch", "draw_valiant"]
 
 Nodes = Tuple[int, ...]
 
@@ -151,6 +162,105 @@ def _draw_batch_slow(
     return vals
 
 
+#: Intermediate draws per vanilla-UGAL choose before it settles for the
+#: minimal path.
+VALIANT_TRIES = VanillaUgalMechanism._RESAMPLE
+
+#: Valiant-row entries (see ``_RouteTables.valiant_row``); entries >= 0
+#: are composite route ids.
+REDRAW = -1     # w is an endpoint, or the composite revisits a switch
+UNBUILT = -2    # not resolved yet
+LOOP_FREE = -3  # a valid candidate whose route is not materialised yet
+
+
+def draw_valiant(
+    rng: np.random.Generator, rows: List[List[int]],
+    resolve: Callable[[int, int], int] | None = None,
+) -> List[int]:
+    """Exact replay of vanilla UGAL's intermediate draw loop, per row.
+
+    Returns, for each ``row`` (index ``i``) in order, what this scalar
+    loop returns::
+
+        for _ in range(VALIANT_TRIES):
+            w = int(rng.integers(len(row)))
+            entry = row[w] if row[w] != UNBUILT else resolve(i, w)
+            if entry != REDRAW:
+                return w
+        return -1
+
+    ``resolve`` computes an :data:`UNBUILT` entry the first time it is
+    drawn.  The draw count is data-dependent, so chunks are fetched in
+    rounds of only those certain to be consumed — one per remaining
+    row — and the generator ends with exactly the words, buffered
+    half-word included, that the scalar calls would have fetched (the
+    Lemire replay of :func:`draw_batch`).  All rows share one length.
+    """
+    m = len(rows)
+    out = [-1] * m
+    if not m:
+        return out
+    n = len(rows[0])
+    if n == 1:
+        # A bound of 1 draws nothing: every try reads row[0].
+        for i, row in enumerate(rows):
+            entry = row[0] if row[0] != UNBUILT else resolve(i, 0)
+            if entry != REDRAW:
+                out[i] = 0
+        return out
+    bg = rng.bit_generator
+    st = bg.state
+    t = (4294967296 - n) % n
+    # vals[c]: the value chunk c yields, or -1 for a Lemire rejection
+    # (the same integers() call consumes another chunk).
+    vals: List[int] = []
+    if st["has_uint32"]:
+        mm = st["uinteger"] * n
+        vals.append(mm >> 32 if (mm & 0xFFFFFFFF) >= t else -1)
+    nv = len(vals)
+    last_hi = -1
+    bn = np.uint64(n)
+    ci = 0
+    for i, row in enumerate(rows):
+        left = VALIANT_TRIES
+        while left:
+            if ci == nv:
+                # This row needs another chunk and every later row at
+                # least one: fetch no more than that (rounded up to whole
+                # words, whose spare half numpy would buffer too).
+                words = bg.random_raw((m - i + 1) // 2)
+                chunks = np.empty(2 * len(words), dtype=np.uint64)
+                chunks[0::2] = words & np.uint64(0xFFFFFFFF)
+                chunks[1::2] = words >> np.uint64(32)
+                last_hi = int(chunks[-1])
+                mm = chunks * bn
+                drawn = (mm >> np.uint64(32)).astype(np.int64)
+                rej = (mm & np.uint64(0xFFFFFFFF)) < np.uint64(t)
+                if rej.any():
+                    drawn[rej] = -1
+                vals.extend(drawn.tolist())
+                nv = len(vals)
+            w = vals[ci]
+            ci += 1
+            if w < 0:
+                continue
+            left -= 1
+            entry = row[w]
+            if entry == UNBUILT:
+                entry = resolve(i, w)
+            if entry != REDRAW:
+                out[i] = w
+                break
+    st = bg.state  # re-read: random_raw advanced the counter
+    st["has_uint32"] = 1 if ci < nv else 0
+    if last_hi >= 0:
+        # numpy leaves the last buffered half in ``uinteger`` even
+        # after consuming it; mirror that so states stay bit-equal.
+        st["uinteger"] = last_hi
+    bg.state = st
+    return out
+
+
 class _RouteTables:
     """Per-cache CSR route core, independent of the VC count.
 
@@ -163,12 +273,22 @@ class _RouteTables:
     mechanism: the only VC-dependent column (the downstream flat buffer
     index) lives in thin per-``n_vcs`` :class:`_FlatTables` views derived
     from ``rf_slot``/``rf_vc``.
+
+    Vanilla UGAL's candidates live here too, as route ids only: the
+    *Valiant table* (built lazily, on first use) holds each pair's
+    minimal route (``sp_rid``, the ``tie="min"`` shortest path the
+    reference mechanism uses) and, per pair, a row with the composite
+    route through each intermediate switch ``w`` (``valiant``), resolved
+    the first time ``w`` is drawn.  Like the KSP pair records it lives
+    on the :class:`~repro.core.cache.PathCache`, so later runs start
+    warm.
     """
 
     __slots__ = (
         "wiring", "n_switches", "n_ports",
         "route_ids", "r_nodes", "r_off", "r_hops",
         "rf_out", "rf_slot", "rf_vc", "rf_link", "pair",
+        "sp_rid", "valiant",
     )
 
     def __init__(self, wiring: NetworkWiring, n_switches: int):
@@ -186,6 +306,10 @@ class _RouteTables:
         # src_sw * n_switches + dst_sw -> (k, rids, hops, links, rank);
         # the flat int key hashes cheaper than a tuple on the hot path.
         self.pair: Dict[int, tuple] = {}
+        # The Valiant table, flat-pair indexed (src * n + dst); empty
+        # until the first vanilla-UGAL run (see valiant_row).
+        self.sp_rid: List[int] = []
+        self.valiant: List[List[int] | None] = []
 
     def add_route(self, nodes: Nodes) -> int:
         rid = self.route_ids.get(nodes)
@@ -237,6 +361,67 @@ class _RouteTables:
             self.pair[key] = rec
         return rec
 
+    def shortest_rid(self, a: int, b: int) -> int:
+        """Route id of the minimal ``a -> b`` path vanilla UGAL uses."""
+        n = self.n_switches
+        if not self.sp_rid:
+            self.sp_rid = [-1] * (n * n)
+            self.valiant = [None] * (n * n)
+        rid = self.sp_rid[a * n + b]
+        if rid < 0:
+            nodes = tuple(shortest_path(
+                self.wiring.topology.kernels, a, b, tie="min"
+            ))
+            rid = self.sp_rid[a * n + b] = self.add_route(nodes)
+        return rid
+
+    def valiant_row(self, src: int, dst: int) -> List[int]:
+        """The pair's row of Valiant candidates, one entry per switch ``w``.
+
+        Entry ``w`` stands for the composite ``shortest(src, w) +
+        shortest(w, dst)``: :data:`REDRAW` where vanilla UGAL redraws
+        (``w`` is an endpoint or the composite revisits a switch),
+        :data:`UNBUILT` until :meth:`valiant_entry` first checks it,
+        :data:`LOOP_FREE` once checked, and the composite's route id
+        once :meth:`valiant_route` materialises it — only composites a
+        packet actually takes become routes.
+        """
+        self.shortest_rid(src, dst)  # allocates the table on first use
+        key = src * self.n_switches + dst
+        row = self.valiant[key]
+        if row is None:
+            row = self.valiant[key] = [UNBUILT] * self.n_switches
+            row[src] = row[dst] = REDRAW
+        return row
+
+    def valiant_entry(self, src: int, dst: int, w: int) -> int:
+        """Resolve (once) entry ``w`` of the pair's :meth:`valiant_row`."""
+        row = self.valiant_row(src, dst)
+        entry = row[w]
+        if entry == UNBUILT:
+            r_nodes = self.r_nodes
+            first = r_nodes[self.shortest_rid(src, w)]
+            second = r_nodes[self.shortest_rid(w, dst)]
+            # The halves are simple paths meeting at w: the composite
+            # loops iff they share another switch.
+            if len(set(first).intersection(second)) == 1:
+                entry = LOOP_FREE
+            else:
+                entry = REDRAW
+            row[w] = entry
+        return entry
+
+    def valiant_route(self, src: int, dst: int, w: int) -> int:
+        """Route id of the loop-free composite through ``w``."""
+        row = self.valiant[src * self.n_switches + dst]
+        rid = row[w]
+        if rid < 0:
+            n = self.n_switches
+            first = self.r_nodes[self.sp_rid[src * n + w]]
+            second = self.r_nodes[self.sp_rid[w * n + dst]]
+            rid = row[w] = self.add_route(first + second[1:])
+        return rid
+
 
 class _FlatTables:
     """A per-``n_vcs`` view over a cache's shared :class:`_RouteTables`.
@@ -277,17 +462,26 @@ class _FlatTables:
         for j in range(len(nxt), len(slot)):
             nxt.append(slot[j] * n_vcs + vc[j])
 
-    def add_route(self, nodes: Nodes) -> int:
-        rid = self.core.add_route(nodes)
+    def _synced(self, value):
+        """``value``, after extending ``rf_nxt`` over any new core routes."""
         if len(self.rf_nxt) != len(self.core.rf_slot):
             self._sync()
-        return rid
+        return value
 
     def pair_record(self, src_sw: int, dst_sw: int, ps) -> tuple:
-        rec = self.core.pair_record(src_sw, dst_sw, ps)
-        if len(self.rf_nxt) != len(self.core.rf_slot):
-            self._sync()
-        return rec
+        return self._synced(self.core.pair_record(src_sw, dst_sw, ps))
+
+    def shortest_rid(self, src_sw: int, dst_sw: int) -> int:
+        return self._synced(self.core.shortest_rid(src_sw, dst_sw))
+
+    def valiant_row(self, src_sw: int, dst_sw: int) -> List[int]:
+        return self._synced(self.core.valiant_row(src_sw, dst_sw))
+
+    def valiant_entry(self, src_sw: int, dst_sw: int, w: int) -> int:
+        return self._synced(self.core.valiant_entry(src_sw, dst_sw, w))
+
+    def valiant_route(self, src_sw: int, dst_sw: int, w: int) -> int:
+        return self._synced(self.core.valiant_route(src_sw, dst_sw, w))
 
 
 def _route_core_for(paths: PathCache, wiring: NetworkWiring,
@@ -416,24 +610,18 @@ class FastSimulator(Simulator):
         self._granted_in: List[int] = [0] * self.n_ports
         self._grant_ins: List[int] = []
 
-        # Native mechanism dispatch.  Mechanisms without an array-native
-        # implementation (vanilla UGAL's composite Valiant routes, or any
-        # future registry entry) fall back to the mechanism object, which
-        # must then see the live occupancy array.
-        natives = {
+        # Native mechanism dispatch: every registry entry has an
+        # array-native chooser; the mechanism object is never consulted,
+        # so the hot loops keep occupancy in a plain list.
+        self._choose_rid = {
             "sp": self._choose_sp,
             "random": self._choose_random,
             "round_robin": self._choose_round_robin,
+            "ugal": self._choose_ugal,
             "ksp_ugal": self._choose_ksp_ugal,
             "ksp_adaptive": self._choose_ksp_adaptive,
-        }
-        native = natives.get(self.mechanism.name)
-        if native is None:
-            self._choose_rid = self._choose_generic
-            self._occ = self.occupancy  # live numpy view for the mechanism
-        else:
-            self._choose_rid = native
-            self._occ = [0] * topology.n_links
+        }[self.mechanism.name]
+        self._occ = [0] * topology.n_links
         self._est_first = config.adaptive_estimate == "first"
         self._cl = config.channel_latency
         self._rr_flow: Dict[Tuple[int, int], int] = {}
@@ -465,6 +653,14 @@ class FastSimulator(Simulator):
         else:
             self._ndraw, self._skip_k1, self._bnd_off = 0, True, 0
             self._bchoose = None
+        # Untraced launch phase: the batched plan above, vanilla UGAL's
+        # own replay (a data-dependent draw count), or per-packet choice.
+        if self._ndraw:
+            self._launch_fast = self._launch_batched
+        elif self.mechanism.name == "ugal":
+            self._launch_fast = self._launch_ugal
+        else:
+            self._launch_fast = None
 
     # ------------------------------------------------------------- phases
     def _process_arrivals(self, now: int) -> None:
@@ -725,6 +921,102 @@ class FastSimulator(Simulator):
         self._n_sourced -= launched
         return True
 
+    def _launch_ugal(self, now: int) -> bool:
+        """Untraced vanilla-UGAL launch with the cycle's draws replayed.
+
+        The Valiant rows of every launching pair are fetched first, then
+        :func:`draw_valiant` replays all the intermediate draw loops at
+        once; launch mutates no occupancy, so every choice of the cycle
+        compares candidates on the same counts, as the scalar path does.
+        """
+        free = self.free
+        host_buf, host_sw = self._host_buf, self._host_sw
+        tables = self._t
+        n_sw = self._n_sw
+        valiant = tables.core.valiant
+        launchers = []
+        lapp = launchers.append
+        rows: List[List[int]] = []
+        rapp = rows.append
+        pairs: List[Tuple[int, int]] = []
+        papp = pairs.append
+        ls_on = self._ls is not None
+        stalls = 0
+        for h, q in self.source_q.items():
+            if not q:
+                continue
+            if free[host_buf[h]] <= 0:
+                stalls += 1
+                if ls_on:
+                    self._ls_stall[self._inj_link_base + h] += 1
+                continue
+            sw = host_sw[h]
+            dsw = host_sw[q[0][1]]
+            lapp((h, q, sw, dsw))
+            if sw != dsw:
+                row = valiant[sw * n_sw + dsw] if valiant else None
+                if row is None:
+                    row = tables.valiant_row(sw, dsw)
+                    valiant = tables.core.valiant
+                rapp(row)
+                papp((sw, dsw))
+        self.credit_stalls += stalls
+        if not launchers:
+            return True
+        if rows:
+            entry = tables.valiant_entry
+            ws = draw_valiant(self.rng, rows, lambda i, w: entry(*pairs[i], w))
+        pick = self._ugal_pick
+        fs_on = self._fs is not None
+        pk_src = self._pk_src
+        pk_rid, pk_hop, pk_t0 = self._pk_rid, self._pk_hop, self._pk_t0
+        pk_link, pk_dst = self._pk_link, self._pk_dst
+        pk_tr, pk_dest = self._pk_tr, self._pk_dest
+        freelist = self._pk_free
+        bucket = self._cal[(now + self._cl) % self._calP]
+        if ls_on:
+            ls_fwd = self._ls_fwd
+            inj_base = self._inj_link_base
+        c = 0
+        for h, q, sw, dsw in launchers:
+            t_create, dst = q.popleft()
+            if sw == dsw:
+                rid = tables.shortest_rid(sw, sw)
+            else:
+                rid = pick(sw, dsw, ws[c])
+                c += 1
+            idx = host_buf[h]
+            if freelist:
+                pid = freelist.pop()
+                pk_rid[pid] = rid
+                pk_hop[pid] = 0
+                pk_t0[pid] = t_create
+                pk_link[pid] = -1
+                pk_dst[pid] = dst
+                pk_tr[pid] = -1
+                pk_dest[pid] = idx
+                if fs_on:
+                    pk_src[pid] = h
+            else:
+                pid = len(pk_rid)
+                pk_rid.append(rid)
+                pk_hop.append(0)
+                pk_t0.append(t_create)
+                pk_link.append(-1)
+                pk_dst.append(dst)
+                pk_tr.append(-1)
+                pk_dest.append(idx)
+                if fs_on:
+                    pk_src.append(h)
+            free[idx] -= 1
+            if ls_on:
+                ls_fwd[inj_base + h] += 1
+            bucket.append(pid)
+        launched = len(launchers)
+        self._n_flying += launched
+        self._n_sourced -= launched
+        return True
+
     def _bchoose_random(self, rec: tuple, vals: List[int], c: int) -> int:
         return rec[1][vals[c]]
 
@@ -778,7 +1070,7 @@ class FastSimulator(Simulator):
             return
         self._reg = metrics._active
         tr = self._trace
-        if tr is None and self._ndraw and self._launch_batched(now):
+        if tr is None and self._launch_fast is not None and self._launch_fast(now):
             return
         tracing = tr is not None
         free = self.free
@@ -1209,7 +1501,7 @@ class FastSimulator(Simulator):
         return rec[1][i % rec[0]]
 
     def _choose_ksp_ugal(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec and _better_idx inlined: this runs once per launched
+        # _pair_rec and the estimate inlined: this runs once per launched
         # packet, and the call overhead is measurable at saturation.
         rec = self._t.pair.get(sw * self._n_sw + dsw)
         if rec is None:
@@ -1241,7 +1533,7 @@ class FastSimulator(Simulator):
         return rids[0] if hi <= hj else rids[j]
 
     def _choose_ksp_adaptive(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec and _better_idx inlined (see _choose_ksp_ugal).
+        # _pair_rec and the estimate inlined (see _choose_ksp_ugal).
         rec = self._t.pair.get(sw * self._n_sw + dsw)
         if rec is None:
             rec = self._t.pair_record(sw, dsw, self.paths.get(sw, dsw))
@@ -1278,33 +1570,64 @@ class FastSimulator(Simulator):
             return rids[i] if ea < eb else rids[j]
         return rids[i] if hi <= hj else rids[j]
 
-    def _choose_generic(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        nodes = tuple(self.mechanism.choose(h, dst, sw, dsw))
+    def _choose_ugal(self, h: int, dst: int, sw: int, dsw: int) -> int:
+        # Vanilla UGAL never consults the KSP cache, so no hit mirroring.
         tables = self._t
-        rid = tables.route_ids.get(nodes)
-        if rid is None:
-            rid = tables.add_route(nodes)
-        return rid
+        if sw == dsw:
+            return tables.shortest_rid(sw, sw)
+        row = tables.valiant_row(sw, dsw)
+        n = self._n_sw
+        rng = self.rng
+        for _ in range(VALIANT_TRIES):
+            w = int(rng.integers(n))
+            entry = row[w]
+            if entry == UNBUILT:
+                entry = tables.valiant_entry(sw, dsw, w)
+            if entry != REDRAW:
+                return self._ugal_pick(sw, dsw, w)
+        return self._ugal_pick(sw, dsw, -1)
 
-    def _better_idx(self, rec: tuple, i: int, j: int) -> int:
-        """Index of the better candidate; ``i`` on ties (cf. ``_better``)."""
-        hops, links = rec[2], rec[3]
+    def _ugal_pick(self, sw: int, dsw: int, w: int) -> int:
+        """The minimal route, unless the composite through ``w`` estimates
+        lower (``w < 0``: no candidate was drawn).
+
+        The composite's estimate is summed over its two shortest halves,
+        so a composite becomes a route only when a packet takes it.  The
+        minimal route never has more hops, so it wins every tie (cf.
+        ``RoutingMechanism._better``).
+        """
+        tables = self._t
+        n = self._n_sw
+        sp_rid = tables.core.sp_rid
+        mrid = sp_rid[sw * n + dsw]
+        if w < 0:
+            return mrid
+        a = sp_rid[sw * n + w]
+        b = sp_rid[w * n + dsw]
+        r_off, r_hops, rf_link = tables.r_off, tables.r_hops, tables.rf_link
         occ = self._occ
-        hi, hj = hops[i], hops[j]
+        hm = r_hops[mrid]
+        ha, hb = r_hops[a], r_hops[b]
         if self._est_first:
-            ea = occ[links[i][0]] * hi
-            eb = occ[links[j][0]] * hj
+            if occ[rf_link[r_off[mrid]]] * hm <= occ[rf_link[r_off[a]]] * (ha + hb):
+                return mrid
         else:
             cl = self._cl
-            ea = hi * cl
-            for link in links[i]:
+            ea = hm * cl
+            o = r_off[mrid]
+            for link in rf_link[o:o + hm]:
                 ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
+            eb = (ha + hb) * cl
+            o = r_off[a]
+            for link in rf_link[o:o + ha]:
                 eb += occ[link]
-        if ea != eb:
-            return i if ea < eb else j
-        return i if hi <= hj else j
+            o = r_off[b]
+            for link in rf_link[o:o + hb]:
+                eb += occ[link]
+            if ea <= eb:
+                return mrid
+        rid = tables.core.valiant[sw * n + dsw][w]
+        return rid if rid >= 0 else tables.valiant_route(sw, dsw, w)
 
     # ---------------------------------------------------------------- run
     def _occupancy_view(self):
@@ -1313,8 +1636,7 @@ class FastSimulator(Simulator):
 
     def _sync_occupancy(self) -> None:
         """Mirror the hot-path occupancy list into the public array."""
-        if self._occ is not self.occupancy:
-            self.occupancy[:] = self._occ
+        self.occupancy[:] = self._occ
 
     def run(self):
         try:

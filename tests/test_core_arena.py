@@ -25,6 +25,7 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.core.arena import ARENA_FORMAT, ArenaFormatError, PathArena
 from repro.core.store import ArenaStore, PathStore
+from repro.errors import ConfigurationError
 from repro.obs import log, metrics
 
 K = 4
@@ -84,6 +85,26 @@ class TestArenaViews:
         assert arena.pathset(*absent) is None
         assert arena.lookup(*absent) == -1
         assert absent not in arena
+
+    def test_out_of_range_ids_do_not_alias_another_pair(self):
+        # On 8 switches the flat key of (0, 8) is that of (1, 0), and the
+        # key of (3, -8) is that of (2, 0): both must read as absent.
+        topo8 = Jellyfish(8, 8, 5, seed=3)
+        warm = PathCache(topo8, "rksp", k=K, seed=7)
+        warm.precompute(
+            [(s, d) for s in range(8) for d in range(8) if s != d]
+        )
+        arena = PathArena.from_cache(warm)
+        for pair in ((0, 8), (3, -8), (-1, 0), (8, 0)):
+            assert arena.lookup(*pair) == -1
+            assert arena.pathset(*pair) is None
+        cache = PathCache(topo8, "rksp", k=K, seed=7)
+        cache.attach_arena(arena)
+        for pair in ((0, 8), (3, -8)):
+            assert cache.peek(*pair) is None
+            with pytest.raises(ConfigurationError, match="out of range"):
+                cache.get(*pair)
+        assert cache.misses == 0 and cache.hits == 0
 
     def test_contains_keys_vectorized(self, topo):
         cache = _warm_cache(topo)

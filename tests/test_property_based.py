@@ -1,5 +1,7 @@
 """Hypothesis property tests on the core data structures and invariants."""
 
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.yen import k_shortest_paths
 from repro.model import model_throughput
 from repro.core.cache import PathCache
 from repro.errors import SimulationError
+from repro.netsim import PatternTraffic, SimConfig, Simulator, UniformTraffic
 from repro.topology.jellyfish import Jellyfish
 from repro.topology.metrics import average_shortest_path_length
 from repro.topology.rrg import is_connected, is_regular, random_regular_graph
@@ -343,6 +346,84 @@ class TestAppsimDifferential:
         assert got_rates.tobytes() == want_rates.tobytes()
         got = run_flows(flows, capacity, n_links)
         assert got.flow_completion.tobytes() == want_done.tobytes()
+
+
+# ------------------------------------------------------------------- netsim
+
+
+@st.composite
+def ugal_cases(draw):
+    """Small vanilla-UGAL runs across shape, load and router knobs."""
+    n = draw(st.integers(6, 14))
+    uplinks = draw(
+        st.integers(3, min(6, n - 1)).filter(lambda y, n=n: (n * y) % 2 == 0)
+    )
+    shape = (n, uplinks + draw(st.integers(1, 3)), uplinks)
+    knobs = dict(
+        adaptive_estimate=draw(st.sampled_from(["path", "first"])),
+        channel_latency=draw(st.integers(1, 12)),
+        vc_buffer=draw(st.integers(1, 8)),
+        input_speedup=draw(st.integers(1, 3)),
+    )
+    return dict(
+        shape=shape,
+        topo_seed=draw(st.integers(0, 2**10)),
+        rate=draw(st.sampled_from([0.1, 0.4, 0.9]) | st.floats(0.05, 1.0)),
+        knobs=knobs,
+        permutation=draw(st.booleans()),
+        prewarm=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestUgalDifferential:
+    """Vanilla UGAL on the fast engine against the reference oracle.
+
+    Each case makes two consecutive runs on one PathCache per engine, so
+    the fast engine's second run starts on the Valiant table its first
+    run built.
+    """
+
+    def _runs(self, engine, case):
+        topo = Jellyfish(*case["shape"], seed=case["topo_seed"])
+        if case["permutation"]:
+            traffic = PatternTraffic(
+                random_permutation(topo.n_hosts, seed=case["seed"])
+            )
+        else:
+            traffic = UniformTraffic(topo.n_hosts)
+        paths = PathCache(topo, "redksp", k=3, seed=1)
+        if case["prewarm"]:
+            for s in range(topo.n_switches):
+                for d in range(topo.n_switches):
+                    paths.get(s, d)
+            paths.hits = paths.misses = 0
+        cfg = SimConfig(
+            engine=engine, warmup_cycles=30, sample_cycles=30, n_samples=2,
+            **case["knobs"],
+        )
+        out = []
+        for run_seed in (case["seed"], case["seed"] + 1):
+            sim = Simulator(
+                topo, paths, "ugal", traffic, case["rate"], cfg, seed=run_seed
+            )
+            result = dataclasses.asdict(sim.run())
+            result.pop("config")  # echoes the engine name
+            drained = sim.drain()
+            sim.check_conservation()
+            out.append((result, drained, sim.rng.bit_generator.state))
+            if engine == "fast":
+                assert paths.__dict__["_route_core"].valiant
+        out.append((paths.hits, paths.misses))
+        return out
+
+    @given(case=ugal_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_fast_matches_reference(self, case):
+        # repr: a jammed sample's nan latency must compare equal too.
+        assert repr(self._runs("fast", case)) == repr(
+            self._runs("reference", case)
+        )
 
 
 # --------------------------------------------------------------------- model
