@@ -10,7 +10,7 @@ from repro.core.path import Path, PathSet
 from repro.core.kernels import GraphKernels, kernels_for
 from repro.core.dijkstra import shortest_path, bfs_levels
 from repro.core.yen import k_shortest_paths
-from repro.core.remove_find import edge_disjoint_paths
+from repro.core.remove_find import edge_disjoint_paths, edge_disjoint_paths_many
 from repro.core.selectors import (
     SCHEMES,
     compute_paths,
@@ -49,6 +49,7 @@ __all__ = [
     "bfs_levels",
     "k_shortest_paths",
     "edge_disjoint_paths",
+    "edge_disjoint_paths_many",
     "SCHEMES",
     "compute_paths",
     "make_selector",

@@ -98,37 +98,64 @@ class PathCache:
         )
 
     def get(self, source: int, destination: int) -> PathSet:
-        """The PathSet for one switch pair, computing it on first use."""
+        """The PathSet for one switch pair, computing it on first use.
+
+        A miss runs the selector for this one pair; bulk consumers should
+        warm their pairs with :meth:`precompute` first (the Remove-Find
+        kernel's per-call set-up dwarfs a single pair's work).
+        """
         key = (source, destination)
+        found = self._resident(key)
+        if found is None:
+            self._check_pairs([key])
+            self._tally(misses=1)
+            found = self._compute([key])[0]
+        else:
+            self._tally(hits=1)
+        return found
+
+    def _resident(self, key: Tuple[int, int]) -> Optional[PathSet]:
+        """The resident PathSet for ``key``, or None (no counters).
+
+        An arena-resident pair's lazy PathSet view is memoised into the
+        dict, so repeated gets (and path_index_map) share one object, like
+        a dict-resident pair.
+        """
         found = self._store.get(key)
         if found is None and self._arena is not None:
-            # Arena-resident pair: a warm hit.  The lazy PathSet view is
-            # memoised so repeated gets (and path_index_map) share one
-            # object, like a dict-resident pair.
-            found = self._arena.pathset(source, destination)
+            found = self._arena.pathset(*key)
             if found is not None:
                 self._store[key] = found
-        if found is None:
-            n = self.topology.n_switches
+        return found
+
+    def _check_pairs(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        n = self.topology.n_switches
+        for source, destination in pairs:
             if not (0 <= source < n and 0 <= destination < n):
                 raise ConfigurationError(
                     f"switch pair ({source}, {destination}) is out of range "
                     f"for a topology with {n} switches"
                 )
-            self.misses += 1
-            reg = metrics._active
-            if reg is not None:
-                reg.counter("core.cache.miss").inc()
-            rng = self._pair_rng(source, destination) if self.selector.randomized else None
-            found = self.selector.select(
-                self._graph, source, destination, self.k, rng
-            )
-            self._store[key] = found
-        else:
-            self.hits += 1
-            reg = metrics._active
-            if reg is not None:
-                reg.counter("core.cache.hit").inc()
+
+    def _tally(self, hits: int = 0, misses: int = 0) -> None:
+        """Add to the plain-int tallies and the registry's counters."""
+        self.hits += hits
+        self.misses += misses
+        reg = metrics._active
+        if reg is not None:
+            if hits:
+                reg.counter("core.cache.hit").inc(hits)
+            if misses:
+                reg.counter("core.cache.miss").inc(misses)
+
+    def _compute(self, keys: List[Tuple[int, int]]) -> List[PathSet]:
+        """Select and store the PathSets of ``keys`` in one selector call."""
+        rngs = (
+            [self._pair_rng(s, d) for s, d in keys]
+            if self.selector.randomized else None
+        )
+        found = self.selector.select_many(self._graph, keys, self.k, rngs)
+        self._store.update(zip(keys, found))
         return found
 
     def peek(self, source: int, destination: int) -> Optional[PathSet]:
@@ -210,9 +237,23 @@ class PathCache:
         return found
 
     def precompute(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Warm the cache for the given switch pairs."""
-        for s, d in pairs:
-            self.get(s, d)
+        """Warm the cache for the given switch pairs.
+
+        Tallies exactly what one :meth:`get` per pair would: a miss for
+        each pair's first appearance when not resident, a hit otherwise.
+        Every pair is range-checked before anything is tallied or computed,
+        and the missing pairs go to the selector in one ``select_many``
+        call (one lock-step kernel run for the Remove-Find schemes).
+        """
+        pairs = [(int(s), int(d)) for s, d in pairs]
+        self._check_pairs(pairs)
+        missing: Dict[Tuple[int, int], None] = {}
+        for key in pairs:
+            if key not in missing and self._resident(key) is None:
+                missing[key] = None
+        self._tally(hits=len(pairs) - len(missing), misses=len(missing))
+        if missing:
+            self._compute(list(missing))
 
     def precompute_parallel(
         self,
@@ -238,13 +279,9 @@ class PathCache:
         """
         if processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        missing = sorted(
-            {
-                (int(s), int(d))
-                for s, d in pairs
-                if (int(s), int(d)) not in self
-            }
-        )
+        pairs = {(int(s), int(d)) for s, d in pairs}
+        self._check_pairs(pairs)
+        missing = sorted(key for key in pairs if key not in self)
         if not missing:
             return 0
         progress = Progress(len(missing), "path-precompute")
@@ -258,11 +295,10 @@ class PathCache:
                 )
                 if hb is not None:
                     hb.task(f"{len(missing)} pairs inline")
-                for s, d in missing:
-                    self.get(s, d)
-                    progress.step()
-                    if mon is not None:
-                        mon.step()
+                self.precompute(missing)
+                progress.step(len(missing))
+                if mon is not None:
+                    mon.step(len(missing))
                 if hb is not None:
                     hb.done()
                 return len(missing)
@@ -340,12 +376,14 @@ class PathCache:
 
         Intended for path-quality studies (Tables II-IV); warm the cache
         with :meth:`warm` first to reuse persisted tables and worker pools.
+        Missing pairs are computed in one :meth:`precompute` call before
+        the first PathSet is yielded.
         """
         n = self.topology.n_switches
-        for s in range(n):
-            for d in range(n):
-                if s != d:
-                    yield self.get(s, d)
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        self.precompute(pairs)
+        for s, d in pairs:
+            yield self.get(s, d)
 
     def export_state(self) -> Dict[Tuple[int, int], PathSet]:
         """A snapshot of every resident PathSet (arena pairs included).
@@ -424,12 +462,13 @@ def _precompute_worker_run(
     if hb is not None:
         hb.task(f"shard of {len(pairs)} pairs")
     if not _WORKER_OBS[0]:
-        result = {(s, d): cache.get(s, d) for s, d in pairs}
-        if hb is not None:
-            hb.done()
-        return PathArena.from_entries(result, n_switches), None
-    with metrics.capture() as reg:
-        result = {(s, d): cache.get(s, d) for s, d in pairs}
+        cache.precompute(pairs)
+        snap = None
+    else:
+        with metrics.capture() as reg:
+            cache.precompute(pairs)
+        snap = reg.snapshot()
     if hb is not None:
         hb.done()
-    return PathArena.from_entries(result, n_switches), reg.snapshot()
+    result = {(s, d): cache.peek(s, d) for s, d in pairs}
+    return PathArena.from_entries(result, n_switches), snap

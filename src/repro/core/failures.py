@@ -84,6 +84,8 @@ def failure_resilience(
     wipe out a vanilla-KSP pair whose paths share that cable.
     """
     check_positive_int(trials, "trials")
+    # One bulk warm; the per-trial gets below are then all hits.
+    paths.precompute(pairs)
     edges = paths.topology.undirected_edges()
     rng = ensure_rng(seed)
     pair_frac = []

@@ -87,6 +87,7 @@ class GraphKernels:
 
     __slots__ = (
         "adj", "n", "nbr_masks", "_fields", "_indptr", "_indices", "_ind2d",
+        "_words",
     )
 
     def __init__(self, adj: Sequence[Sequence[int]]):
@@ -107,6 +108,7 @@ class GraphKernels:
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
         self._ind2d: Optional[np.ndarray] = None
+        self._words: Optional[np.ndarray] = None
 
     # ------------------------------------------------- sequence protocol
     def __len__(self) -> int:
@@ -139,6 +141,22 @@ class GraphKernels:
             if self.n and counts.size and (counts == counts[0]).all() and counts[0]:
                 self._ind2d = indices.reshape(self.n, int(counts[0]))
         return self._indptr, self._indices
+
+    def words(self) -> np.ndarray:
+        """Neighbour bitsets as an ``(n, ceil(n/64))`` little-endian uint64 array.
+
+        Bit ``v & 63`` of word ``v >> 6`` in row ``u`` is set iff ``v`` is a
+        neighbour of ``u`` — the layout the lock-step Remove-Find kernel
+        gathers from.
+        """
+        if self._words is None:
+            indptr, indices = self.csr()
+            words = np.zeros((self.n, (self.n + 63) // 64), dtype="<u8")
+            rows = np.repeat(np.arange(self.n), np.diff(indptr))
+            bits = np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64))
+            np.bitwise_or.at(words, (rows, indices >> 6), bits)
+            self._words = words
+        return self._words
 
     # ----------------------------------------------------------- fields
     def field(self, source: int) -> LevelField:

@@ -17,17 +17,19 @@ name        algorithm                                     paper notation
 
 Selectors are stateless; randomness comes from the ``rng`` handed to
 :meth:`PathSelector.select`, so a fixed seed plus a fixed pair is perfectly
-reproducible no matter the evaluation order.
+reproducible no matter the evaluation order.  :meth:`PathSelector.select_many`
+computes many pairs in one call: the Remove-Find schemes run them through
+one lock-step kernel, the others loop :meth:`~PathSelector.select`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.ecmp import ecmp_paths
 from repro.core.llskr import llskr_paths
 from repro.core.path import Path, PathSet
-from repro.core.remove_find import edge_disjoint_paths
+from repro.core.remove_find import edge_disjoint_paths_many
 from repro.core.yen import k_shortest_paths
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike
@@ -64,6 +66,24 @@ class PathSelector:
         rng: SeedLike = None,
     ) -> PathSet:
         raise NotImplementedError
+
+    def select_many(
+        self,
+        adj: Sequence[Sequence[int]],
+        pairs: Sequence[Tuple[int, int]],
+        k: int,
+        rngs: Optional[Sequence[SeedLike]] = None,
+    ) -> List[PathSet]:
+        """One PathSet per ``(source, destination)`` in ``pairs``.
+
+        ``rngs`` holds one seed or generator per pair, as :meth:`select`
+        takes them (``None``: ``None`` for every pair).
+        """
+        if rngs is None:
+            rngs = [None] * len(pairs)
+        return [
+            self.select(adj, s, d, k, rng) for (s, d), rng in zip(pairs, rngs)
+        ]
 
     def signature(self) -> Tuple:
         """A stable, JSON-able identity tuple for persistence keys.
@@ -104,23 +124,22 @@ class EdgeDisjointKSPSelector(PathSelector):
 
     name = "edksp"
     randomized = False
+    tie = "min"
 
     def select(self, adj, source, destination, k, rng=None) -> PathSet:
-        paths = edge_disjoint_paths(adj, source, destination, k, tie="min")
-        return PathSet(source, destination, paths)
+        return self.select_many(adj, [(source, destination)], k, [rng])[0]
+
+    def select_many(self, adj, pairs, k, rngs=None) -> List[PathSet]:
+        found = edge_disjoint_paths_many(adj, pairs, k, tie=self.tie, rngs=rngs)
+        return [PathSet(s, d, paths) for (s, d), paths in zip(pairs, found)]
 
 
-class RandomizedEdgeDisjointKSPSelector(PathSelector):
+class RandomizedEdgeDisjointKSPSelector(EdgeDisjointKSPSelector):
     """rEDKSP: Remove-Find with randomized tie-breaking (the paper's best)."""
 
     name = "redksp"
     randomized = True
-
-    def select(self, adj, source, destination, k, rng=None) -> PathSet:
-        paths = edge_disjoint_paths(
-            adj, source, destination, k, tie="random", rng=rng
-        )
-        return PathSet(source, destination, paths)
+    tie = "random"
 
 
 class LLSKRSelector(PathSelector):

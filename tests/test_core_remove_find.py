@@ -4,8 +4,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.remove_find import edge_disjoint_paths
-from repro.errors import InsufficientPathsError, NoPathError
+from repro.core.remove_find import edge_disjoint_paths, edge_disjoint_paths_many
+from repro.errors import ConfigurationError, InsufficientPathsError, NoPathError
 from repro.topology.rrg import random_regular_graph
 
 
@@ -95,3 +95,50 @@ class TestEdgeCases:
             paths = edge_disjoint_paths(adj, 0, dst, 8)
             assert len(paths) == 8
             assert_pairwise_disjoint(paths)
+
+
+class TestMany:
+    def test_matches_one_pair_calls(self):
+        adj = random_regular_graph(20, 6, seed=4)
+        pairs = [(0, 5), (5, 0), (3, 3), (19, 7), (0, 5)]
+        for tie in ("min", "random"):
+            many = edge_disjoint_paths_many(
+                adj, pairs, 6, tie=tie,
+                rngs=[np.random.default_rng(i) for i in range(len(pairs))],
+            )
+            one = [
+                edge_disjoint_paths(adj, s, d, 6, tie=tie, rng=np.random.default_rng(i))
+                for i, (s, d) in enumerate(pairs)
+            ]
+            assert many == one
+
+    def test_empty(self):
+        assert edge_disjoint_paths_many([[1], [0]], [], 3) == []
+
+    def test_out_of_range_pair_rejected_before_any_draw(self):
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        before = [r.bit_generator.state for r in rngs]
+        with pytest.raises(ConfigurationError, match="out of range"):
+            edge_disjoint_paths_many(
+                [[1], [0]], [(0, 1), (0, 2)], 2, tie="random", rngs=rngs
+            )
+        assert [r.bit_generator.state for r in rngs] == before
+
+    def test_generator_shared_by_two_pairs_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="own generator"):
+            edge_disjoint_paths_many(
+                [[1], [0]], [(0, 1), (1, 0)], 2, tie="random", rngs=[rng, rng]
+            )
+
+    def test_generator_count_must_match_pairs(self):
+        with pytest.raises(ConfigurationError, match="generators"):
+            edge_disjoint_paths_many(
+                [[1], [0]], [(0, 1), (1, 0)], 2, tie="random", rngs=[1]
+            )
+
+    def test_no_path_raises_for_first_failing_pair(self):
+        adj = [[1], [0], [3], [2]]
+        with pytest.raises(NoPathError) as info:
+            edge_disjoint_paths_many(adj, [(0, 1), (1, 3), (0, 2)], 2)
+        assert (info.value.source, info.value.destination) == (1, 3)

@@ -127,6 +127,42 @@ class TestPathCache:
         cache.precompute([(0, 1), (2, 3)])
         assert len(cache) == 2
 
+    @pytest.mark.parametrize("warm", ["precompute", "precompute_parallel"])
+    @pytest.mark.parametrize("scheme", ["redksp", "ksp"])
+    def test_warm_validates_every_pair_before_computing(
+        self, small_jellyfish, warm, scheme
+    ):
+        # An out-of-range pair anywhere in the list: nothing before it may
+        # be computed or tallied.
+        cache = PathCache(small_jellyfish, scheme, k=2)
+        cache.get(0, 1)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            getattr(cache, warm)([(0, 2), (3, 4), (0, 99), (5, 6)])
+        assert len(cache) == 1 and (0, 2) not in cache and (3, 4) not in cache
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_precompute_tallies_like_one_get_per_pair(self, small_jellyfish):
+        cache = PathCache(small_jellyfish, "redksp", k=3, seed=2)
+        cache.get(0, 1)
+        cache.precompute([(0, 1), (2, 3), (2, 3), (4, 4)])
+        assert (cache.hits, cache.misses) == (2, 3)
+        assert cache.get(2, 3) == PathCache(
+            small_jellyfish, "redksp", k=3, seed=2
+        ).get(2, 3)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_select_many_matches_select(self, small_jellyfish, scheme):
+        sel = make_selector(scheme)
+        adj = small_jellyfish.kernels
+        pairs = [(0, 5), (3, 3), (7, 2), (0, 5)]
+        seeds = [11, 12, 13, 14]
+        many = sel.select_many(adj, pairs, 4, [np.random.default_rng(x) for x in seeds])
+        one = [
+            sel.select(adj, s, d, 4, np.random.default_rng(x))
+            for (s, d), x in zip(pairs, seeds)
+        ]
+        assert many == one
+
     def test_all_pairs_count(self, small_jellyfish):
         cache = PathCache(small_jellyfish, "sp", k=1)
         n = small_jellyfish.n_switches

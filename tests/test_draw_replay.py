@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.remove_find import _Streams
 from repro.netsim.fastcore import (
     REDRAW,
     UNBUILT,
@@ -207,3 +208,55 @@ def test_replays_compose_with_scalar_calls(pre):
     got += draw_valiant(b, rows)
     assert got == want
     assert b.bit_generator.state == a.bit_generator.state
+
+
+# ------------------------------------------------------ Remove-Find streams
+
+@st.composite
+def stream_rounds(draw):
+    """Per-pair pre-draws, then rounds of one draw per pair of a subset."""
+    pairs = draw(st.integers(1, 5))
+    bound = st.one_of(st.integers(1, 40), st.sampled_from([HEAVY_REJECT, 2**32 - 1]))
+    rounds = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, pairs - 1), bound), max_size=pairs)
+        .map(lambda xs: list(dict(xs).items())),  # one draw per pair
+        max_size=12,
+    ))
+    return dict(
+        pre=draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs)),
+        rounds=rounds,
+        words=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestRemoveFindStreams:
+    def _check(self, pre, rounds, words, seed=0):
+        gens = [_pair(seed + i, p) for i, p in enumerate(pre)]
+        want_gens, got_gens = [a for a, _ in gens], [b for _, b in gens]
+        streams = _Streams(got_gens, words)
+        for draws in rounds:
+            want = [int(want_gens[p].integers(r)) for p, r in draws]
+            got = streams.draw(
+                np.array([p for p, _ in draws], dtype=np.int64),
+                np.array([r for _, r in draws], dtype=np.int64),
+            )
+            assert got.tolist() == want
+        streams.finish()
+        for a, b in zip(want_gens, got_gens):
+            assert b.bit_generator.state == a.bit_generator.state
+
+    def test_no_draws_restores_entry_state(self):
+        self._check([0, 1, 3], [], words=2)
+
+    def test_refills_and_forced_rejections(self):
+        rounds = [[(0, HEAVY_REJECT), (1, 7)]] * 12 + [[(1, 1), (0, 1)]]
+        self._check([0, 1], rounds, words=1, seed=3)
+
+    def test_buffered_half_word_consumed_alone(self):
+        self._check([1], [[(0, 9)]], words=2, seed=4)
+
+    @given(case=stream_rounds())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_calls(self, case):
+        self._check(case["pre"], case["rounds"], case["words"], case["seed"])

@@ -215,6 +215,7 @@ def test_scheme_matches_reference(topo, scheme, master_seed):
 def test_randomized_schemes_consume_identical_rng_stream(topo):
     # Beyond equal paths: the fast kernels must leave the generator at the
     # same position, or downstream draws would silently diverge.
+    from repro.core.remove_find import edge_disjoint_paths
     from repro.core.yen import k_shortest_paths
 
     adj = topo.adjacency
@@ -223,6 +224,19 @@ def test_randomized_schemes_consume_identical_rng_stream(topo):
         k_shortest_paths(adj, s, d, K, tie="random", rng=r_fast)
         _ref_k_shortest_paths(adj, s, d, K, tie="random", rng=r_ref)
         assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30)
+    # The lock-step Remove-Find kernel replays the draws on prefetched raw
+    # words: the full bit-generator state (buffered half-word included)
+    # must match, with and without a half-word buffered on entry.
+    for s, d in _sample_pairs(topo.n_switches, 5, seed=10):
+        for pre_draws in (0, 1):
+            r_fast, r_ref = np.random.default_rng(7), np.random.default_rng(7)
+            for r in (r_fast, r_ref):
+                r.integers(3, size=pre_draws)
+            got = edge_disjoint_paths(adj, s, d, K, tie="random", rng=r_fast)
+            want = _ref_edge_disjoint(adj, s, d, K, tie="random", rng=r_ref)
+            assert [tuple(p) for p in got] == want
+            assert r_fast.bit_generator.state == r_ref.bit_generator.state
+            assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30)
 
 
 # --------------------------------------------------------------------------

@@ -135,6 +135,229 @@ class TestRemoveFindProperties:
         assert paths[0].hops == ref
 
 
+def _oracle_edge_disjoint(adj, source, destination, k, tie, rng):
+    """The per-pair Remove-Find loop the lock-step kernel replaced.
+
+    A verbatim copy (less argument checks): one banned bitset BFS and
+    backwalk per path through ``shortest_path``, the same tallies and the
+    same errors.
+    """
+    from repro.core.dijkstra import shortest_path
+    from repro.core.kernels import kernels_for
+    from repro.core.path import Path
+    from repro.errors import NoPathError
+    from repro.obs import metrics as _metrics
+
+    generator = rng if tie == "random" else None
+    kernels = kernels_for(adj)
+    paths = []
+    banned = set()
+    queries = 0
+    for _ in range(k):
+        queries += 1
+        nodes = shortest_path(
+            kernels, source, destination, tie=tie, rng=generator,
+            banned_edges=banned,
+        )
+        if nodes is None:
+            break
+        path = Path._from_trusted(tuple(nodes))
+        paths.append(path)
+        if source == destination:
+            break
+        for u, v in path.edges():
+            banned.add((u, v))
+            banned.add((v, u))
+    reg = _metrics._active
+    if reg is not None:
+        reg.counter("core.remove_find.invocations").inc()
+        reg.counter("core.remove_find.sp_queries").inc(queries)
+        if paths and len(paths) < k and source != destination:
+            reg.counter("core.remove_find.shortfalls").inc()
+    if not paths:
+        raise NoPathError(source, destination)
+    return paths
+
+
+def _ring(n):
+    return [sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+
+
+@st.composite
+def remove_find_cases(draw):
+    """Graphs, pair lists and kernel chunking for the Remove-Find differential.
+
+    Graphs are random regular (up to 140 nodes, so bitsets span several
+    64-bit words), rings (long paths, one candidate per hop), or two
+    disjoint pieces (pairs across them have no path).  Pairs may repeat
+    and may have ``s == d``; caller generators may start with a buffered
+    half-word; chunk and prefetch sizes shrink to force chunk boundaries
+    and stream refills.
+    """
+    kind = draw(st.sampled_from(["rrg", "ring", "split"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "ring":
+        adj = _ring(draw(st.integers(3, 24)))
+    else:
+        n, d = draw(
+            st.integers(6, 140).flatmap(
+                lambda n: st.tuples(
+                    st.just(n),
+                    st.integers(3, min(n - 1, 8)).filter(
+                        lambda d, n=n: (n * d) % 2 == 0
+                    ),
+                )
+            )
+        )
+        adj = random_regular_graph(n, d, seed=seed)
+        if kind == "split":
+            m = draw(st.integers(3, 12))
+            adj = [list(r) for r in adj] + [
+                [v + n for v in r] for r in _ring(m)
+            ]
+    n = len(adj)
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=24))
+    return dict(
+        adj=adj,
+        pairs=pairs,
+        k=draw(st.integers(1, 12)),
+        tie=draw(st.sampled_from(["min", "random"])),
+        buffered=draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))),
+        chunk_bytes=draw(st.sampled_from([1, 8 * n * ((n + 63) // 64) * 3, 4 << 20])),
+        prefetch=draw(st.sampled_from([0, 1, 2])),
+        seed=seed,
+    )
+
+
+def _generators(case):
+    gens = [np.random.default_rng([case["seed"], i]) for i in range(len(case["pairs"]))]
+    for g, buffered in zip(gens, case["buffered"]):
+        if buffered:
+            g.integers(5)  # leaves the word's high half buffered
+    return gens
+
+
+def _core_counters(reg):
+    counters = reg.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("core.")}
+
+
+class TestRemoveFindDifferential:
+    """The lock-step kernel against the per-pair loop it replaced."""
+
+    @given(case=remove_find_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_per_pair_loop(self, case):
+        from unittest import mock
+
+        import repro.core.remove_find as rf
+        from repro.core.remove_find import edge_disjoint_paths_many
+        from repro.errors import NoPathError
+        from repro.obs import metrics as _metrics
+
+        adj, pairs, k, tie = case["adj"], case["pairs"], case["k"], case["tie"]
+        want, want_states = [], []
+        with _metrics.capture() as want_reg:
+            for (s, d), g in zip(pairs, _generators(case)):
+                try:
+                    want.append(
+                        [p.nodes for p in _oracle_edge_disjoint(adj, s, d, k, tie, g)]
+                    )
+                except NoPathError:
+                    want.append(None)
+                want_states.append(g.bit_generator.state)
+
+        gens = _generators(case)
+        with mock.patch.object(rf, "_CHUNK_BYTES", case["chunk_bytes"]), \
+                mock.patch.object(rf, "_PREFETCH_WORDS_PER_PATH", case["prefetch"]), \
+                _metrics.capture() as got_reg:
+            connected = [i for i, w in enumerate(want) if w is not None]
+            found = edge_disjoint_paths_many(
+                adj, [pairs[i] for i in connected], k, tie=tie,
+                rngs=[gens[i] for i in connected],
+            )
+            got = [None] * len(pairs)
+            for i, paths in zip(connected, found):
+                got[i] = [p.nodes for p in paths]
+            for i in set(range(len(pairs))) - set(connected):
+                with pytest.raises(NoPathError):
+                    rf.edge_disjoint_paths(adj, *pairs[i], k, tie=tie, rng=gens[i])
+        assert got == want
+        if tie == "random":
+            assert [g.bit_generator.state for g in gens] == want_states
+        assert _core_counters(got_reg) == _core_counters(want_reg)
+
+        # Guo et al.: simple, pairwise edge-disjoint on undirected links,
+        # hop counts never decrease, the first path is a shortest one.
+        graph = to_nx(adj)
+        for (s, d), paths in zip(pairs, got):
+            if paths is None:
+                assert not nx.has_path(graph, s, d)
+                continue
+            assert 1 <= len(paths) <= k
+            used = set()
+            for nodes in paths:
+                assert nodes[0] == s and nodes[-1] == d
+                assert len(set(nodes)) == len(nodes)
+                for u, v in zip(nodes, nodes[1:]):
+                    assert graph.has_edge(u, v)
+                    link = (min(u, v), max(u, v))
+                    assert link not in used
+                    used.add(link)
+            hops = [len(nodes) - 1 for nodes in paths]
+            assert hops == sorted(hops)
+            assert hops[0] == nx.shortest_path_length(graph, s, d)
+
+    @given(
+        shape=st.sampled_from([(8, 5, 3), (12, 8, 4), (20, 9, 5), (70, 8, 5)]),
+        scheme=st.sampled_from(["edksp", "redksp"]),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cache_precompute_matches_per_pair_gets(self, shape, scheme, k, seed, data):
+        from repro.obs import metrics as _metrics
+
+        topo = Jellyfish(*shape, seed=seed)
+        n = topo.n_switches
+        node = st.integers(0, n - 1)
+        warm = data.draw(st.lists(st.tuples(node, node), max_size=6))
+        pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=30))
+        tie = "random" if scheme == "redksp" else "min"
+
+        cache = PathCache(topo, scheme, k=k, seed=seed)
+        for s, d in warm:
+            cache.get(s, d)
+        with _metrics.capture() as got_reg:
+            cache.precompute(pairs)
+        got = {key: [p.nodes for p in ps] for key, ps in cache.export_state().items()}
+
+        # The replaced precompute: one get per pair, each miss running the
+        # per-pair loop on the pair's own generator.
+        def oracle(s, d):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s, d))
+            )
+            return [p.nodes for p in _oracle_edge_disjoint(
+                topo.adjacency, s, d, k, tie, rng)]
+
+        want = {key: oracle(*key) for key in warm}
+        with _metrics.capture() as want_reg:
+            for s, d in pairs:
+                if (s, d) in want:
+                    _metrics.counter("core.cache.hit").inc()
+                else:
+                    _metrics.counter("core.cache.miss").inc()
+                    want[(s, d)] = oracle(s, d)
+        assert got == want
+        assert _core_counters(got_reg) == _core_counters(want_reg)
+        distinct_new = len(set(pairs) - set(warm))
+        assert cache.misses == len(set(warm)) + distinct_new
+        assert cache.hits == (len(warm) - len(set(warm))) + len(pairs) - distinct_new
+
+
 # ------------------------------------------------------------------- traffic
 
 
