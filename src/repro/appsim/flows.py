@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -29,8 +30,13 @@ class FlowSpec:
     path: Tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.nbytes <= 0:
+        if not (self.nbytes > 0 and math.isfinite(self.nbytes)):
             raise SimulationError(
                 f"flow {self.src_host}->{self.dst_host} has {self.nbytes} bytes"
             )
         self.links = np.asarray(self.links, dtype=np.int64)
+        if self.links.ndim != 1:
+            raise SimulationError(
+                f"flow {self.src_host}->{self.dst_host} links must be a 1-D array "
+                f"of link ids, not shape {self.links.shape}"
+            )

@@ -3,7 +3,8 @@
 All flows start at t = 0 (one exchange phase, as in the paper's stencil
 runs).  The loop alternates:
 
-1. compute max-min fair rates for the remaining flows;
+1. compute max-min fair rates for the remaining flows, resuming the
+   previous solve where it first departs;
 2. advance time to the earliest flow completion at those rates;
 3. retire completed flows and repeat.
 
@@ -19,7 +20,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.appsim.fairshare import incidence, link_capacity, waterfill
+from repro.appsim.fairshare import SolveRecord, incidence, link_capacity
 from repro.appsim.flows import FlowSpec
 from repro.errors import SimulationError
 from repro.obs import metrics
@@ -55,31 +56,35 @@ def run_flows(
 ) -> AppSimResult:
     """Simulate ``flows`` sharing ``capacity`` until all complete.
 
-    The flow-link incidence is built once; each completion event drops the
-    finished flows' entries from it and from the per-link flow counts, and
-    the next max-min solve water-fills what is left.
+    The flow-link incidence is built once and handed to a
+    :class:`~repro.appsim.fairshare.SolveRecord`; each completion event
+    drops the finished flows from it, and the next max-min solve resumes
+    the previous one's water-fill at the first level where the two depart.
     """
     if not flows:
         raise SimulationError("no flows to simulate")
     n = len(flows)
     cap = link_capacity(capacity, n_links)
-    flow_of, link_of = incidence([f.links for f in flows], cap.size)
-    count = np.bincount(link_of, minlength=cap.size)
     remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    if not (np.isfinite(remaining).all() and (remaining > 0).all()):
+        raise SimulationError("flow sizes must be positive and finite")
+    record = SolveRecord(*incidence([f.links for f in flows], cap.size), cap, n)
     total_bytes = float(remaining.sum())
     completion = np.zeros(n)
     rates = np.full(n, np.inf)  # link-less flows stay unconstrained
-    finished = np.zeros(n, dtype=bool)
     alive = np.arange(n)
+    ended = np.empty(0, dtype=np.int64)
     t = 0.0
 
-    events = iters = 0
+    events = iters = reused = 0
     with metrics.span("appsim.run_flows"):
         while alive.size:
             events += 1
             if events > n + 1:
                 raise SimulationError("flow completion loop failed to converge")
-            iters += waterfill(flow_of, link_of, count.copy(), cap.copy(), rates)
+            levels, kept = record.resolve(ended, rates)
+            iters += levels
+            reused += kept
             alive_rates = rates[alive]
             if not (alive_rates > 0).all():
                 raise SimulationError("max-min returned a zero rate")
@@ -94,15 +99,11 @@ def run_flows(
             left = ~done
             alive = alive[left]
             remaining[alive] -= alive_rates[left] * dt
-            finished[ended] = True
-            gone = finished[flow_of]
-            count -= np.bincount(link_of[gone], minlength=count.size)
-            flow_of = flow_of[~gone]
-            link_of = link_of[~gone]
     metrics.counter("appsim.runs").inc()
     metrics.counter("appsim.flows").inc(n)
     metrics.counter("appsim.events").inc(events)
     metrics.counter("appsim.waterfill_iters").inc(iters)
+    metrics.counter("appsim.waterfill_reused").inc(reused)
 
     message_completion: Dict[int, float] = {}
     for f, c in zip(flows, completion):

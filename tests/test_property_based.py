@@ -571,6 +571,221 @@ class TestAppsimDifferential:
         assert got.flow_completion.tobytes() == want_done.tobytes()
 
 
+# Oracle for the incremental re-solve: the event loop that water-filled the
+# alive flows from full capacity at every completion event, with the array
+# kernel it used (``used`` links compacted out at every level).
+def _oracle_array_waterfill(flow_of, link_of, count, cap, rates):
+    fill = 0.0
+    iters = 0
+    frozen = np.zeros(rates.size, dtype=bool)
+    while link_of.size:
+        iters += 1
+        used = count > 0
+        n_used = count[used]
+        r = float((cap[used] / n_used).min())
+        fill += r
+        cap[used] -= n_used * r
+        saturated = used & (cap <= _ORACLE_EPS * fill + _ORACLE_EPS)
+        hit = flow_of[saturated[link_of]]
+        if hit.size == 0:
+            raise SimulationError("water-filling failed to saturate a link")
+        frozen[hit] = True
+        rates[hit] = fill
+        gone = frozen[flow_of]
+        count -= np.bincount(link_of[gone], minlength=count.size)
+        keep = ~gone
+        flow_of = flow_of[keep]
+        link_of = link_of[keep]
+    return iters
+
+
+def _oracle_event_loop(flows, capacity, n_links):
+    from repro.appsim.fairshare import incidence, link_capacity
+
+    n = len(flows)
+    cap = link_capacity(capacity, n_links)
+    flow_of, link_of = incidence([f.links for f in flows], cap.size)
+    count = np.bincount(link_of, minlength=cap.size)
+    remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    completion = np.zeros(n)
+    rates = np.full(n, np.inf)
+    finished = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
+    t = 0.0
+    events = iters = 0
+    while alive.size:
+        events += 1
+        iters += _oracle_array_waterfill(flow_of, link_of, count.copy(), cap.copy(), rates)
+        alive_rates = rates[alive]
+        ttc = remaining[alive] / alive_rates
+        dt = float(ttc.min())
+        t += dt
+        done = ttc <= dt * (1 + _ORACLE_REL_TOL)
+        ended = alive[done]
+        completion[ended] = t
+        left = ~done
+        alive = alive[left]
+        remaining[alive] -= alive_rates[left] * dt
+        finished[ended] = True
+        gone = finished[flow_of]
+        count -= np.bincount(link_of[gone], minlength=count.size)
+        flow_of = flow_of[~gone]
+        link_of = link_of[~gone]
+    message_completion = {}
+    for f, c in zip(flows, completion):
+        message_completion[f.message_id] = max(message_completion.get(f.message_id, 0.0), float(c))
+    return completion, message_completion, float(completion.max()), events, iters
+
+
+@st.composite
+def resolve_cases(draw):
+    """Event loops that stress the record: ``mode`` "equal" gives every flow
+    one size (many finish per event, equal shares tie), "first" routes every
+    flow over link 0 under scalar capacity (every finished flow froze at
+    level 0, so each re-solve departs at once), "full" adds link-less flows
+    (they finish first, and the re-solve after them reuses every level);
+    ``rows`` caps the checkpoint budget at that many rows, so the stride
+    doubles past 1."""
+    mode = draw(st.sampled_from(["mixed", "equal", "first", "full"]))
+    n_links = draw(st.integers(1, 10))
+    n_flows = draw(st.integers(1, 30))
+    links = draw(st.lists(
+        st.lists(st.integers(0, n_links - 1), min_size=mode != "mixed", max_size=5),
+        min_size=n_flows, max_size=n_flows,
+    ))
+    if mode == "first":
+        # Link 0 then carries every flow once and no link carries more.
+        links = [[0] + sorted(set(ls) - {0}) for ls in links]
+    if mode == "full":
+        links += [[]] * draw(st.integers(1, 3))
+    size = st.sampled_from([1.0, 2.0, 5.0]) | st.floats(0.25, 50.0)
+    if mode == "equal":
+        sizes = [draw(size)] * len(links)
+    else:
+        sizes = draw(st.lists(size, min_size=len(links), max_size=len(links)))
+    rate = st.sampled_from([1.0, 2.0]) | st.floats(0.5, 20.0)
+    if mode != "first" and draw(st.booleans()):
+        capacity = np.asarray(draw(st.lists(rate, min_size=n_links, max_size=n_links)))
+    else:
+        capacity = draw(rate)
+    n_messages = draw(st.integers(1, len(links)))
+    flows = [
+        FlowSpec(0, 1, nbytes, np.asarray(ls, dtype=np.int64), i % n_messages)
+        for i, (nbytes, ls) in enumerate(zip(sizes, links))
+    ]
+    rows = draw(st.sampled_from([None, 2, 4]))
+    return dict(flows=flows, capacity=capacity, n_links=n_links, mode=mode, rows=rows)
+
+
+class TestIncrementalResolve:
+    """The record-resuming event loop against one that re-solves from full capacity."""
+
+    @given(case=resolve_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_resolve_event_loop(self, case):
+        from unittest import mock
+
+        import repro.appsim.fairshare as fs
+        from repro.obs import metrics as _metrics
+
+        flows, capacity, n_links = case["flows"], case["capacity"], case["n_links"]
+        try:
+            want = _oracle_event_loop(flows, capacity, n_links)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                run_flows(flows, capacity, n_links)
+            return
+        done, msgs, makespan, events, iters = want
+        budget = fs._RECORD_BYTES if case["rows"] is None else case["rows"] * 8 * n_links
+        with mock.patch.object(fs, "_RECORD_BYTES", budget), _metrics.capture() as reg:
+            got = run_flows(flows, capacity, n_links)
+        assert got.flow_completion.tobytes() == done.tobytes()
+        assert got.message_completion == msgs
+        assert got.makespan == makespan
+        counters = reg.snapshot()["counters"]
+        assert counters["appsim.events"] == events
+        assert counters["appsim.waterfill_iters"] == iters
+        reused = counters["appsim.waterfill_reused"]
+        assert 0 <= reused <= iters
+        if case["mode"] == "first":
+            assert reused == 0
+        if case["mode"] == "full" and events > 1:
+            assert reused > 0
+
+    @given(
+        cap=st.floats(0.5, 100.0),
+        steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12),
+        flows=st.lists(st.tuples(st.integers(0, 11), st.booleans()), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fewer_flows_never_leave_a_link_less(self, cap, steps, flows):
+        """The lemma that lets the re-solve test only the old solve: a link
+        replayed over the same steps with a subset of its flows never ends a
+        level with less capacity, a smaller share or a smaller leftover."""
+        n_levels = len(steps)
+        step = np.asarray(steps)
+        level = np.minimum([lv for lv, _ in flows], n_levels - 1)
+        kept = np.asarray([keep for _, keep in flows])
+
+        def replay(levels):
+            count = (levels[None, :] >= np.arange(n_levels)[:, None]).sum(axis=1)
+            caps = np.subtract.accumulate(np.concatenate([[cap], count * step]))
+            return count, caps
+
+        count, caps = replay(level)
+        fewer, fewer_caps = replay(level[kept])
+        assert (fewer_caps >= caps).all()
+        live = (fewer > 0) & (caps[:-1] > 0)
+        assert (fewer_caps[:-1][live] / fewer[live] >= caps[:-1][live] / count[live]).all()
+
+    def test_departs_where_a_link_set_the_step_without_saturating(self):
+        # 8,691 flows share link 0: its step C/n leaves 1.2e-7 by rounding,
+        # above the saturation threshold, so link 0 sets level 0's step but
+        # only link 1 (one flow, capacity one ulp above the step) saturates.
+        # Dropping a link-0 flow raises link 0's share, so link 1 sets a
+        # different step and the re-solve must start over.
+        crowd, cap = 8691, 7.5e8
+        step = cap / crowd
+        capacity = np.array([cap, np.nextafter(step, np.inf)])
+        flows = [FlowSpec(0, 1, 1.0, np.array([0]), 0)]
+        flows += [FlowSpec(0, 1, 1e6, np.array([0]), 1) for _ in range(crowd - 1)]
+        flows += [FlowSpec(0, 1, 1e6, np.array([1]), 2)]
+        done, msgs, makespan, events, iters = _oracle_event_loop(flows, capacity, 2)
+        got = run_flows(flows, capacity, 2)
+        assert got.flow_completion.tobytes() == done.tobytes()
+        assert got.message_completion == msgs
+
+    def test_stride_grows_past_one_under_a_small_budget(self):
+        from unittest import mock
+
+        import repro.appsim.fairshare as fs
+
+        # One flow per link, capacities 1..8: one fill level per link.
+        flow_links = [np.array([i]) for i in range(8)]
+        with mock.patch.object(fs, "_RECORD_BYTES", 2 * 8 * 8):
+            record = fs.SolveRecord(
+                *fs.incidence(flow_links, 8), np.arange(1.0, 9.0), 8
+            )
+            rates = np.full(8, np.inf)
+            assert record.resolve(np.zeros(0, np.int64), rates) == (8, 0)
+            # Link 5's flow finishes; the solve departs at level 5, where
+            # it froze, and resumes from the level-4 checkpoint.
+            assert record.resolve(np.array([5]), rates) == (7, 4)
+        assert record.ckpt.shape == (2, 8)
+        assert record.stride == 4
+        assert rates.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+
+    def test_stencil_cell_reuses_levels(self):
+        from repro.appsim import stencil_time
+        from repro.obs import metrics as _metrics
+
+        topo = Jellyfish(9, 10, 6, seed=2)
+        with _metrics.capture() as reg:
+            stencil_time(topo, "2dnn", "ksp", mapping="random", seed=0, total_bytes=1e6)
+        counters = reg.snapshot()["counters"]
+        assert 0 < counters["appsim.waterfill_reused"] <= counters["appsim.waterfill_iters"]
+
+
 # ------------------------------------------------------------------- netsim
 
 
